@@ -4,10 +4,11 @@ The transform is the plain unshifted DFT,
 
     F[u, v] = sum_{x, y} a[x, y] * exp(-2j*pi*(u*x/H + v*y/W)),
 
-computed with an iterative radix-2 kernel for power-of-two lengths, a
-recursive mixed-radix decomposition for composite lengths, and Bluestein's
-chirp-z convolution for large prime factors.  Everything operates on the
-trailing axes of an array, so batches of planes transform in one call.
+computed with a four-step (matrix-matrix) decomposition for power-of-two
+lengths, a recursive mixed-radix decomposition for other composite lengths,
+and Bluestein's chirp-z convolution, itself padded to a power of two, for
+large prime factors.  Everything operates on the trailing axes of an array,
+so batches of planes transform in one call.
 
 Inputs of dtype float32/complex64 are transformed in single precision;
 everything else runs in double precision.
@@ -24,15 +25,9 @@ from .errors import DimensionError
 # sizes (224 = 2^5 * 7) without the chirp detour.
 _MAX_DIRECT_PRIME = 61
 
-_pow2_cache: dict = {}
 _dft_mat_cache: dict = {}
 _chirp_cache: dict = {}
 _four_step_cache: dict = {}
-
-# Power-of-two lengths at or above this use the four-step (matrix-matrix)
-# decomposition, which needs far fewer memory passes than the butterfly
-# ladder; smaller lengths stay on the radix-2 kernel.
-_FOUR_STEP_MIN = 64
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -54,44 +49,6 @@ def _smallest_prime_factor(n: int) -> int:
             return p
         p += 2
     return n
-
-
-def _pow2_plan(n: int):
-    plan = _pow2_cache.get(n)
-    if plan is None:
-        levels = n.bit_length() - 1
-        idx = np.arange(n)
-        rev = np.zeros(n, dtype=np.intp)
-        for bit in range(levels):
-            rev = (rev << 1) | ((idx >> bit) & 1)
-        twiddles = []
-        half = 1
-        while half < n:
-            twiddles.append(np.exp((-1j * np.pi / half) * np.arange(half)))
-            half *= 2
-        plan = (rev, twiddles)
-        _pow2_cache[n] = plan
-    return plan
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 DIT transform of the last axis (length a power of 2)."""
-    n = x.shape[-1]
-    rev, twiddles = _pow2_plan(n)
-    y = np.ascontiguousarray(x[..., rev])
-    half = 1
-    stage = 0
-    while half < n:
-        step = half * 2
-        v = y.reshape(y.shape[:-1] + (n // step, 2, half))
-        tw = twiddles[stage].astype(y.dtype, copy=False)
-        a = v[..., 0, :].copy()
-        b = v[..., 1, :] * tw
-        np.add(a, b, out=v[..., 0, :])
-        np.subtract(a, b, out=v[..., 1, :])
-        half = step
-        stage += 1
-    return y
 
 
 def _fft_four_step(x: np.ndarray) -> np.ndarray:
@@ -140,7 +97,7 @@ def _bluestein(x: np.ndarray) -> np.ndarray:
         kernel = np.zeros(size, dtype=np.complex128)
         kernel[:n] = np.conj(chirp)
         kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
-        kernel_f = _fft_pow2(kernel)
+        kernel_f = _fft_four_step(kernel)
         _chirp_cache[n] = (chirp, kernel_f, size)
         cached = _chirp_cache[n]
     chirp, kernel_f, size = cached
@@ -149,7 +106,7 @@ def _bluestein(x: np.ndarray) -> np.ndarray:
 
     buf = np.zeros(x.shape[:-1] + (size,), dtype=x.dtype)
     buf[..., :n] = x * chirp
-    conv = _ifft_last(_fft_pow2(buf) * kernel_f)
+    conv = _ifft_last(_fft_four_step(buf) * kernel_f)
     return conv[..., :n] * chirp
 
 
@@ -180,9 +137,7 @@ def _fft_last(x: np.ndarray) -> np.ndarray:
     if n == 1:
         return x.copy()
     if n & (n - 1) == 0:
-        if n >= _FOUR_STEP_MIN:
-            return _fft_four_step(x)
-        return _fft_pow2(x)
+        return _fft_four_step(x)
     return _fft_mixed(x)
 
 
@@ -246,15 +201,28 @@ def dft2_magnitude_backward(
     upstream: np.ndarray,
     eps_mag: float = 1e-12,
 ) -> np.ndarray:
-    """Gradient of ``sum(upstream * dft2_magnitude(plane))`` w.r.t. ``plane``.
+    """Gradient of ``sum(upstream * dft2_magnitude(plane))`` w.r.t. ``plane``."""
+    plane = np.asarray(plane)
+    z = dft2(plane)
+    grad = magnitude_backward(z, np.abs(z), np.asarray(upstream), eps_mag)
+    return np.ascontiguousarray(grad, dtype=plane.dtype)
+
+
+def magnitude_backward(
+    spectrum: np.ndarray,
+    magnitude: np.ndarray,
+    upstream: np.ndarray,
+    eps_mag: float = 1e-12,
+) -> np.ndarray:
+    """Plane gradient of ``sum(upstream * magnitude)`` from a forward pass's
+    ``spectrum = dft2(plane)`` and ``magnitude = |spectrum|``.
 
     Uses d|z|/dz = conj(z)/|z| plus linearity of the DFT, so the whole
     gradient is one forward transform of the reweighted spectrum.  Bins with
-    magnitude below ``eps_mag`` contribute zero gradient.
+    magnitude below ``eps_mag`` contribute zero gradient.  Returns the real
+    part as a (possibly strided) view.
     """
-    plane = np.asarray(plane)
-    z = dft2(plane)
-    mag = np.abs(z)
-    ratio = np.where(mag > eps_mag, np.conj(z) / np.maximum(mag, eps_mag), 0.0)
-    grad = dft2(np.asarray(upstream) * ratio)
-    return np.ascontiguousarray(grad.real, dtype=plane.dtype)
+    ratio = np.where(
+        magnitude > eps_mag, np.conj(spectrum) / np.maximum(magnitude, eps_mag), 0.0
+    )
+    return dft2(upstream * ratio).real

@@ -18,13 +18,11 @@ from .fileio import Manifest, read_image, write_pgm, write_table
 from .forensics import center_crop_pad, noise_residual
 from .parallel import parallel_map
 from .simulate import (
+    UPSAMPLE_KINDS,
     PipelineConfig,
     embed_spectral_watermark,
     letter_a_glyph,
     synth_real,
-    upsample_nearest,
-    upsample_tconv,
-    upsample_zero,
 )
 from .spectral import (
     average_spectrum,
@@ -33,8 +31,6 @@ from .spectral import (
     self_similarity_features,
     spectrum_of,
 )
-
-FORMATION_KINDS = ("zero_insert", "nearest", "tconv_conv")
 
 
 def formation_grid(out_dir, seed: int, base_size: int = 28, stages: int = 3) -> list:
@@ -51,17 +47,12 @@ def formation_grid(out_dir, seed: int, base_size: int = 28, stages: int = 3) -> 
     marked = embed_spectral_watermark(base, glyph)
 
     rows = []
-    for kind in FORMATION_KINDS:
+    for kind in UPSAMPLE_KINDS:
         pipe = PipelineConfig(kind, stages, seed, base_size)
         image = marked
         for stage in range(stages + 1):
             if stage > 0:
-                if kind == "zero_insert":
-                    image = upsample_zero(image)
-                elif kind == "nearest":
-                    image = upsample_nearest(image)
-                else:
-                    image = upsample_tconv(image, pipe.stage(stage - 1), pipe.nonlinearity)
+                image = pipe.upsample(image, stage - 1)
             spectrum = spectrum_of(image)
             corr = quadrant_correlation(spectrum) if stage > 0 else float("nan")
             filename = f"{kind}_stage{stage}.pgm"

@@ -71,14 +71,24 @@ def read_image(path) -> np.ndarray:
         while pos < len(rest) and rest[pos:pos + 1].isspace():
             pos += 1
         if rest[pos:pos + 1] == b"#":  # comment line
-            pos = rest.index(b"\n", pos) + 1
+            end = rest.find(b"\n", pos)
+            if end < 0:
+                raise FormatError(f"{path}: unterminated header comment")
+            pos = end + 1
             continue
         start = pos
         while pos < len(rest) and not rest[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(rest[start:pos]))
+        token = rest[start:pos]
+        if not token.isdigit():
+            raise FormatError(f"{path}: header field {token!r} is not a decimal number")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: image size {w}x{h} has no pixels")
+    if not 1 <= maxval <= 65535:
+        raise FormatError(f"{path}: maxval {maxval} outside 1..65535")
     channels = 3 if magic == b"P6" else 1
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = w * h * channels

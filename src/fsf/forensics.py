@@ -234,7 +234,6 @@ class AugmentPolicy:
     blur_sigma_range: tuple = (0.0, 1.0)
     down_ratio: float = 0.5
     crop: int = 224
-    seed: int = 0
 
     def __post_init__(self):
         for p in (self.p_jpeg, self.p_blur, self.p_down):

@@ -30,15 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .fft import dft2
+from .fft import dft2, magnitude_backward
 from .ops import (
     conv3x3_nhwc,
     conv3x3_nhwc_backward,
+    elementwise_mul,
+    elementwise_mul_backward,
     instance_norm_nhwc,
     instance_norm_nhwc_backward,
     leaky_relu,
     leaky_relu_backward,
 )
+from .spectral import quadrant_average, quadrant_split
 
 BRANCH_NAMES = ("q00", "q01", "q10", "q11")
 
@@ -91,29 +94,6 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         return cls(**data)
-
-
-def _split_quadrants_nhwc(x: np.ndarray):
-    h, w = x.shape[1:3]
-    if h % 2 or w % 2:
-        raise DimensionError(f"cannot split odd spatial extents {h}x{w}")
-    hh, hw = h // 2, w // 2
-    return (
-        np.ascontiguousarray(x[:, :hh, :hw]),
-        np.ascontiguousarray(x[:, :hh, hw:]),
-        np.ascontiguousarray(x[:, hh:, :hw]),
-        np.ascontiguousarray(x[:, hh:, hw:]),
-    )
-
-
-def _merge_quadrants_nhwc(blocks, shape):
-    out = np.zeros(shape, dtype=blocks[0].dtype)
-    hh, hw = shape[1] // 2, shape[2] // 2
-    out[:, :hh, :hw] = blocks[0]
-    out[:, :hh, hw:] = blocks[1]
-    out[:, hh:, :hw] = blocks[2]
-    out[:, hh:, hw:] = blocks[3]
-    return out
 
 
 class FractalCNN:
@@ -249,11 +229,29 @@ class FractalCNN:
         mean_ds = (ds * shat).mean(axis=(2, 3), keepdims=True)
         dlg = inv * (ds - mean_d - shat * mean_ds)
         dmag = dlg / (1.0 + mag)
-        ratio = np.where(
-            mag > self.config.mag_eps, np.conj(z) / np.maximum(mag, self.config.mag_eps), 0.0
-        )
-        dt = dft2(dmag * ratio).real
+        dt = magnitude_backward(z, mag, dmag, self.config.mag_eps)
         return np.ascontiguousarray(dt.transpose(0, 2, 3, 1)).astype(upstream.dtype, copy=False)
+
+    # -- stages -----------------------------------------------------------
+
+    def _highpass(self, x, cache, keep):
+        h = self._conv_norm_act(x, "sp1", cache, keep)
+        h = self._conv_norm_act(h, "sp2", cache, keep)
+        h = self._spectrum_normalize(h, cache, keep)
+        h = self._conv_norm_act(h, "fq1", cache, keep)
+        return self._conv_norm_act(h, "fq2", cache, keep)
+
+    def _fractal_unit(self, h, n, cache, keep):
+        # quadrant views of the channel-last map
+        blocks = [np.moveaxis(b, 1, 3) for b in quadrant_split(np.moveaxis(h, 3, 1))]
+        branches = [
+            self._plain_conv(block, f"u{n}_{q}", cache, keep)
+            for block, q in zip(blocks, BRANCH_NAMES)
+        ]
+        fc = self._plain_conv(elementwise_mul(*branches), f"u{n}_fuse", cache, keep)
+        if keep:
+            cache[f"u{n}"] = branches
+        return fc.mean(axis=(1, 2)), quadrant_average(*blocks)
 
     # -- full passes ------------------------------------------------------
 
@@ -271,28 +269,11 @@ class FractalCNN:
                 f"{x.shape[1]}x{x.shape[2]}"
             )
         cache: dict = {}
-
-        h = self._conv_norm_act(x, "sp1", cache, keep_cache)
-        h = self._conv_norm_act(h, "sp2", cache, keep_cache)
-        h = self._spectrum_normalize(h, cache, keep_cache)
-        h = self._conv_norm_act(h, "fq1", cache, keep_cache)
-        h = self._conv_norm_act(h, "fq2", cache, keep_cache)
-
+        h = self._highpass(x, cache, keep_cache)
         level_vectors = []
-        unit_caches = []
         for n in range(cfg.n_units):
-            blocks = _split_quadrants_nhwc(h)
-            branches = [
-                self._plain_conv(blocks[i], f"u{n}_{BRANCH_NAMES[i]}", cache, keep_cache)
-                for i in range(4)
-            ]
-            fused = (branches[0] * branches[1]) * (branches[2] * branches[3])
-            fc = self._plain_conv(fused, f"u{n}_fuse", cache, keep_cache)
-            level_vectors.append(fc.mean(axis=(1, 2)))
-            h_next = ((blocks[0] + blocks[1]) + (blocks[2] + blocks[3])) / 4.0
-            if keep_cache:
-                unit_caches.append((h.shape, branches, fc.shape))
-            h = h_next
+            vector, h = self._fractal_unit(h, n, cache, keep_cache)
+            level_vectors.append(vector)
         level_vectors.append(h.mean(axis=(1, 2)))
 
         feats = np.concatenate(level_vectors, axis=1)
@@ -300,7 +281,6 @@ class FractalCNN:
         act = leaky_relu(pre, cfg.leaky_slope)
         logits = (act @ self.params["head2_w"] + self.params["head2_b"])[:, 0]
         if keep_cache:
-            cache["units"] = unit_caches
             cache["final_shape"] = h.shape
             cache["head"] = (feats, pre, act)
         cache["features"] = feats
@@ -314,13 +294,7 @@ class FractalCNN:
     def highpass_forward(self, x: np.ndarray) -> np.ndarray:
         """The artifact-strengthening front end alone: (B, H, W, C_in) ->
         level-zero feature spectrum (B, H, W, channels)."""
-        x = np.asarray(x, dtype=self.config.np_dtype)
-        cache: dict = {}
-        h = self._conv_norm_act(x, "sp1", cache, False)
-        h = self._conv_norm_act(h, "sp2", cache, False)
-        h = self._spectrum_normalize(h, cache, False)
-        h = self._conv_norm_act(h, "fq1", cache, False)
-        return self._conv_norm_act(h, "fq2", cache, False)
+        return self._highpass(np.asarray(x, dtype=self.config.np_dtype), {}, False)
 
     def fractal_unit_forward(self, h: np.ndarray, n: int):
         """One recursion step: level spectrum -> (level vector, next level).
@@ -330,17 +304,7 @@ class FractalCNN:
         """
         if not 0 <= n < self.config.n_units:
             raise ParameterError(f"model has units 0..{self.config.n_units - 1}, got {n}")
-        cache: dict = {}
-        blocks = _split_quadrants_nhwc(np.asarray(h, dtype=self.config.np_dtype))
-        branches = [
-            self._plain_conv(blocks[i], f"u{n}_{BRANCH_NAMES[i]}", cache, False)
-            for i in range(4)
-        ]
-        fused = (branches[0] * branches[1]) * (branches[2] * branches[3])
-        fc = self._plain_conv(fused, f"u{n}_fuse", cache, False)
-        level_vector = fc.mean(axis=(1, 2))
-        h_next = ((blocks[0] + blocks[1]) + (blocks[2] + blocks[3])) / 4.0
-        return level_vector, h_next
+        return self._fractal_unit(np.asarray(h, dtype=self.config.np_dtype), n, {}, False)
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> dict:
         """Parameter gradients for the cached forward pass."""
@@ -368,25 +332,22 @@ class FractalCNN:
         ).astype(cfg.np_dtype)
 
         for n in range(cfg.n_units - 1, -1, -1):
-            h_shape, branches, fc_shape = cache["units"][n]
+            branches = cache[f"u{n}"]
+            fc_shape = branches[0].shape  # the fuse conv keeps the branch shape
             dfc = np.broadcast_to(
                 dvectors[n][:, None, None, :] / (fc_shape[1] * fc_shape[2]), fc_shape
             ).astype(cfg.np_dtype)
             dfused = self._plain_conv_backward(dfc, f"u{n}_fuse", cache, grads)
-            b0, b1, b2, b3 = branches
-            dbranches = [
-                dfused * (b1 * (b2 * b3)),
-                dfused * (b0 * (b2 * b3)),
-                dfused * ((b0 * b1) * b3),
-                dfused * ((b0 * b1) * b2),
-            ]
-            dblocks = [
-                self._plain_conv_backward(dbranches[i], f"u{n}_{BRANCH_NAMES[i]}", cache, grads)
-                for i in range(4)
-            ]
+            dbranches = elementwise_mul_backward(branches, dfused)
             # next-level average routes dh/4 back into each pre-conv quadrant
-            dblocks = [dblocks[i] + dh / 4.0 for i in range(4)]
-            dh = _merge_quadrants_nhwc(dblocks, h_shape)
+            dquarter = dh / 4.0
+            d00, d01, d10, d11 = [
+                self._plain_conv_backward(db, f"u{n}_{q}", cache, grads) + dquarter
+                for db, q in zip(dbranches, BRANCH_NAMES)
+            ]
+            dh = np.concatenate(
+                [np.concatenate([d00, d01], axis=2), np.concatenate([d10, d11], axis=2)], axis=1
+            )
 
         dh = self._conv_norm_act_backward(dh, "fq2", cache, grads)
         dh = self._conv_norm_act_backward(dh, "fq1", cache, grads)

@@ -235,7 +235,11 @@ def instance_norm_backward(feature, gain, bias, upstream, eps: float = 1e-5):
 # ---------------------------------------------------------------------------
 
 def elementwise_mul(*arrays: np.ndarray) -> np.ndarray:
-    """Hadamard product of all arguments (at least one, equal shapes)."""
+    """Hadamard product of all arguments (at least one, equal shapes).
+
+    Factors are multiplied as a balanced pairwise tree, so four factors give
+    ``(a0 * a1) * (a2 * a3)``.
+    """
     if not arrays:
         raise ParameterError("elementwise_mul needs at least one argument")
     arrays = [np.asarray(a) for a in arrays]
@@ -243,28 +247,39 @@ def elementwise_mul(*arrays: np.ndarray) -> np.ndarray:
     for a in arrays[1:]:
         if a.shape != shape:
             raise DimensionError(f"shape mismatch: {a.shape} vs {shape}")
-    out = arrays[0].copy()
-    for a in arrays[1:]:
-        out *= a
-    return out
+    if len(arrays) == 1:
+        return arrays[0].copy()
+    return _tree_product(arrays)
 
 
 def elementwise_mul_backward(arrays, upstream: np.ndarray):
     """Per-argument gradients of the variadic product.
 
-    Uses prefix/suffix partial products so zeros in any factor are handled
-    without division.
+    Each gradient is ``upstream`` times the product of the other factors,
+    grouped along the forward pass's tree (for four factors,
+    ``upstream * (a1 * (a2 * a3))`` and so on), so zeros in any factor are
+    handled without division.
     """
+    if len(arrays) == 0:
+        raise ParameterError("elementwise_mul_backward needs at least one factor")
     arrays = [np.asarray(a) for a in arrays]
-    n = len(arrays)
-    prefix = [None] * n
-    suffix = [None] * n
-    acc = np.ones_like(arrays[0])
-    for i in range(n):
-        prefix[i] = acc
-        acc = acc * arrays[i]
-    acc = np.ones_like(arrays[0])
-    for i in range(n - 1, -1, -1):
-        suffix[i] = acc
-        acc = acc * arrays[i]
-    return [upstream * prefix[i] * suffix[i] for i in range(n)]
+    upstream = np.asarray(upstream)
+    return [upstream.copy() if c is None else upstream * c for c in _tree_cofactors(arrays)]
+
+
+def _tree_product(arrays):
+    if len(arrays) == 1:
+        return arrays[0]
+    half = len(arrays) // 2
+    return _tree_product(arrays[:half]) * _tree_product(arrays[half:])
+
+
+def _tree_cofactors(arrays):
+    """Per factor, the tree product of all the others (None for a lone factor)."""
+    if len(arrays) == 1:
+        return [None]
+    half = len(arrays) // 2
+    left, right = _tree_product(arrays[:half]), _tree_product(arrays[half:])
+    return [right if c is None else c * right for c in _tree_cofactors(arrays[:half])] + [
+        left if c is None else left * c for c in _tree_cofactors(arrays[half:])
+    ]

@@ -220,6 +220,14 @@ class PipelineConfig:
             rng = np.random.default_rng((self.seed, index, 0xF5))
         return make_tconv_stage(rng)
 
+    def upsample(self, image: np.ndarray, index: int, image_seed=None) -> np.ndarray:
+        """Apply upsampling stage ``index`` of this pipeline to ``image``."""
+        if self.kind == "zero_insert":
+            return upsample_zero(image)
+        if self.kind == "nearest":
+            return upsample_nearest(image)
+        return upsample_tconv(image, self.stage(index, image_seed), self.nonlinearity)
+
 
 def generate_fake(seed: int, pipeline: PipelineConfig, spectral_exponent: float = 1.0) -> np.ndarray:
     """Base field at base_size, then ``depth`` upsampling stages, clamped to [0, 1]."""
@@ -229,14 +237,7 @@ def generate_fake(seed: int, pipeline: PipelineConfig, spectral_exponent: float 
         )
     image = synth_real(seed, pipeline.base_size, spectral_exponent)
     for stage_idx in range(pipeline.depth):
-        if pipeline.kind == "zero_insert":
-            image = upsample_zero(image)
-        elif pipeline.kind == "nearest":
-            image = upsample_nearest(image)
-        else:
-            image = upsample_tconv(
-                image, pipeline.stage(stage_idx, image_seed=seed), pipeline.nonlinearity
-            )
+        image = pipeline.upsample(image, stage_idx, image_seed=seed)
     if pipeline.kind == "tconv_conv":
         # The random filter bank has arbitrary gain; rescale into range.
         # Zero/nearest outputs are left untouched so their spectral

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError
 from .fft import dft2_magnitude
+from .ops import elementwise_mul
 
 MEASURES = ("mean", "logmean")
 
@@ -72,7 +73,7 @@ def self_similarity(spectrum: np.ndarray, measure: str = "logmean") -> float:
         block = np.asarray(block, dtype=np.float64)
         m = block.mean()
         scaled.append(block / m if m > 0 else block)
-    fused = scaled[0] * scaled[1] * scaled[2] * scaled[3]
+    fused = elementwise_mul(*scaled)
     if measure == "mean":
         return float(np.mean(fused))
     return float(np.mean(np.log1p(fused)))

@@ -271,11 +271,6 @@ def evaluate(
     )
 
 
-def evaluate_grid(checkpoint, manifest, distortions) -> list:
-    """One EvalResult per distortion configuration."""
-    return [evaluate(checkpoint, manifest, d) for d in distortions]
-
-
 def ablate(
     train_manifest: Manifest,
     test_manifest: Manifest,

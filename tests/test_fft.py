@@ -40,7 +40,7 @@ def test_random_7x12_matches_naive_oracle():
 
 
 @pytest.mark.parametrize(
-    "size", [(5, 5), (7, 7), (8, 8), (12, 12), (5, 12), (64, 128), (224, 224)]
+    "size", [(5, 5), (7, 7), (8, 8), (12, 12), (5, 12), (16, 32), (64, 128), (224, 224)]
 )
 def test_naive_oracle_equivalence(size):
     rng = np.random.default_rng(size[0] * 1000 + size[1])

@@ -62,6 +62,25 @@ class TestNetpbm:
         with pytest.raises(FormatError):
             read_image(path)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"P5\n4 x4\n255\n" + bytes(16),  # non-numeric field
+            b"P5\n4 4 # no newline",  # unterminated comment
+            b"P5\n0 4\n255\n" + bytes(16),  # zero width
+            b"P5\n4 4\n0\n" + bytes(16),  # zero maxval
+            b"P5\n-1 4\n255\n" + bytes(16),  # negative width
+            b"P5\n4 4\n70000\n" + bytes(32),  # maxval above 16 bits
+        ],
+        ids=["non_numeric", "open_comment", "zero_width", "zero_maxval",
+             "negative_width", "maxval_70000"],
+    )
+    def test_bad_header_rejected(self, tmp_path, payload):
+        path = tmp_path / "g.pgm"
+        path.write_bytes(payload)
+        with pytest.raises(FormatError):
+            read_image(path)
+
 
 class TestManifest:
     def _manifest(self):
