@@ -4,8 +4,9 @@ Layout (all integers little-endian):
 
     magic            8 bytes  b"FSFCKPT1"
     version          u32
-    header length    u32, then that many bytes of canonical JSON
-                     (model config + training metadata)
+    header length    u32, then that many bytes of canonical JSON: an
+                     object with exactly "config" (asdict of the
+                     ModelConfig) and "metadata" (training metadata)
     parameter count  u32
     per parameter    u16 name length, name bytes, u8 ndim, u32 dims...,
                      float64 little-endian data (parameters are sorted
@@ -20,13 +21,14 @@ reproduces the in-memory model exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, build, check_type
 from .model import FractalCNN, ModelConfig
 
 MAGIC = b"FSFCKPT1"
@@ -47,7 +49,7 @@ class ModelCheckpoint:
 
 def save_checkpoint(path, checkpoint: ModelCheckpoint) -> None:
     header = {
-        "config": checkpoint.config.to_dict(),
+        "config": asdict(checkpoint.config),
         "metadata": checkpoint.metadata,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -89,26 +91,37 @@ def load_checkpoint(path) -> ModelCheckpoint:
     pos += 4
     try:
         header = json.loads(body[pos:pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
     pos += header_len
-    config = ModelConfig.from_dict(header["config"])
-    (n_params,) = struct.unpack_from("<I", body, pos)
-    pos += 4
+    if not isinstance(header, dict) or set(header) != {"config", "metadata"}:
+        raise FormatError(f"{path}: header must be an object with exactly config and metadata")
+    config = build(ModelConfig, header["config"], f"{path}: config", FormatError)
+    metadata = check_type(header["metadata"], dict, f"{path}: metadata", FormatError)
     params = {}
-    for _ in range(n_params):
-        (name_len,) = struct.unpack_from("<H", body, pos)
-        pos += 2
-        name = body[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", body, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", body, pos)
-        pos += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(body, dtype="<f8", count=count, offset=pos).reshape(shape)
-        pos += 8 * count
-        params[name] = data.astype(config.np_dtype)
+    try:
+        (n_params,) = struct.unpack_from("<I", body, pos)
+        pos += 4
+        for _ in range(n_params):
+            (name_len,) = struct.unpack_from("<H", body, pos)
+            pos += 2
+            name = body[pos:pos + name_len].decode("utf-8")
+            pos += name_len
+            (ndim,) = struct.unpack_from("<B", body, pos)
+            pos += 1
+            shape = struct.unpack_from(f"<{ndim}I", body, pos)
+            pos += 4 * ndim
+            count = math.prod(shape)
+            if name in params or pos + 8 * count > len(body):
+                raise FormatError(f"{path}: duplicate or overlong parameter block {name!r:.60}")
+            data = np.frombuffer(body, dtype="<f8", count=count, offset=pos).reshape(shape)
+            pos += 8 * count
+            # NaN fails the comparison; values beyond the dtype's range would cast to inf.
+            if not np.all(np.abs(data) <= np.finfo(config.np_dtype).max):
+                raise FormatError(f"{path}: parameter {name!r} has non-finite values")
+            params[name] = data.astype(config.np_dtype)
+    except (struct.error, ValueError) as exc:  # undecodable names, ndim beyond numpy's limit
+        raise FormatError(f"{path}: truncated or undecodable parameter block: {exc}") from exc
     if pos != len(body):
         raise FormatError(f"{path}: trailing bytes after parameter blocks")
-    return ModelCheckpoint(config=config, params=params, metadata=header["metadata"])
+    return ModelCheckpoint(config=config, params=params, metadata=metadata)

@@ -34,6 +34,8 @@ from .errors import (
     FsfError,
     NumericError,
     ParameterError,
+    build,
+    check_type,
 )
 from .figures import average_spectrum_report, features_export, formation_grid
 from .fileio import read_manifest, write_table
@@ -48,25 +50,6 @@ from .training import EpochStats, TrainConfig, ablate, ablation_table, evaluate,
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = {"seed", "out_dir", "corpus", "model", "train", "distortions", "ablate_n"}
-_CORPUS_KEYS = {
-    "dir", "size", "spectral_exponent", "sensor_noise", "pipelines", "holdout",
-    "n_train_real", "n_train_fake", "n_test_real", "n_test_fake",
-}
-_PIPELINE_KEYS = {"kind", "depth", "seed", "base_size", "nonlinearity", "kernel_scope", "name"}
-_MODEL_KEYS = {
-    "in_channels", "channels", "n_units", "input_size", "leaky_slope",
-    "head_hidden", "norm_eps", "mag_eps", "dtype",
-}
-_TRAIN_KEYS = {
-    "lr", "beta1", "beta2", "adam_eps", "batch_size", "max_epochs",
-    "val_fraction", "patience", "seed", "residual_kernel", "augment",
-}
-
-
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
 @dataclass
@@ -82,16 +65,20 @@ class ExperimentConfig:
     digest: str
 
 
-def parse_distortion(label: str) -> DistortionConfig:
-    if label == "none":
-        return DistortionConfig("none")
-    if label.startswith("jpeg"):
-        return DistortionConfig("jpeg", jpeg_quality=int(label[4:]))
-    if label.startswith("down"):
-        return DistortionConfig("downsample", down_ratio=float(label[4:]))
-    if label.startswith("blur"):
-        return DistortionConfig("gaussian_blur", blur_sigma=float(label[4:]))
-    raise ConfigError(f"cannot parse distortion {label!r}")
+def parse_distortion(label) -> DistortionConfig:
+    """Distortion for one grid label: none, jpegQ (Q in 1..100), down0.5 or blurS (S >= 0)."""
+    check_type(label, str, "distortion label", ConfigError)
+    if label in ("none", "down0.5"):
+        return DistortionConfig("none" if label == "none" else "downsample")
+    numbered = (("jpeg", "jpeg", "jpeg_quality"), ("blur", "gaussian_blur", "blur_sigma"))
+    for prefix, kind, key in numbered:
+        if label.startswith(prefix):
+            try:
+                section = {"kind": kind, key: json.loads(label[len(prefix):])}
+            except ValueError:
+                break
+            return build(DistortionConfig, section, f"distortion {label!r}", ConfigError)
+    raise ConfigError(f"cannot parse distortion {label!r}; labels are none, jpegQ, down0.5, blurS")
 
 
 def load_config(path: str, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -99,77 +86,52 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
         data = json.loads(raw)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "config root")
+    check_type(data, dict, "config root", ConfigError)
+    unknown = set(data) - _TOP_KEYS
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in config root")
 
     for key in ("seed", "out_dir"):
         if key not in data:
             raise ConfigError(f"config is missing required key {key!r}")
-    seed = int(seed_override if seed_override is not None else data["seed"])
-    out_dir = str(out_override if out_override is not None else data["out_dir"])
+    seed = data["seed"] if seed_override is None else seed_override
+    check_type(seed, int, "seed", ConfigError)
+    out_dir = data["out_dir"] if out_override is None else out_override
+    check_type(out_dir, str, "out_dir", ConfigError)
 
     corpus = None
     corpus_dir = os.path.join(out_dir, "corpus")
     if "corpus" in data:
-        section = data["corpus"]
-        _check_keys(section, _CORPUS_KEYS, "corpus")
-        corpus_dir = section.get("dir", corpus_dir)
-        pipelines = []
-        for i, p in enumerate(section.get("pipelines", [])):
-            _check_keys(p, _PIPELINE_KEYS, f"corpus.pipelines[{i}]")
-            if "seed" not in p:
-                raise ConfigError(f"corpus.pipelines[{i}] is missing an explicit seed")
-            try:
-                pipelines.append(PipelineConfig(**p))
-            except (ParameterError, TypeError) as exc:
-                raise ConfigError(f"corpus.pipelines[{i}]: {exc}") from exc
-        exponent = section.get("spectral_exponent", 1.0)
-        if isinstance(exponent, list):
-            exponent = tuple(exponent)
-        try:
-            corpus = CorpusSpec(
-                size=section["size"],
-                seed=seed,
-                pipelines=pipelines,
-                n_train_real=section.get("n_train_real", 0),
-                n_train_fake=section.get("n_train_fake", 0),
-                n_test_real=section.get("n_test_real", 0),
-                n_test_fake=section.get("n_test_fake", 0),
-                holdout=tuple(section.get("holdout", ())),
-                spectral_exponent=exponent,
-                sensor_noise=section.get("sensor_noise", 0.0),
-            )
-        except (KeyError, ParameterError) as exc:
-            raise ConfigError(f"corpus section: {exc}") from exc
+        section = dict(check_type(data["corpus"], dict, "corpus", ConfigError))
+        if "seed" in section:
+            raise ConfigError("corpus.seed is not a key; the corpus uses the top-level seed")
+        corpus_dir = check_type(section.pop("dir", corpus_dir), str, "corpus.dir", ConfigError)
+        pipelines = check_type(section.get("pipelines", []), list, "corpus.pipelines", ConfigError)
+        section["pipelines"] = [
+            build(PipelineConfig, p, f"corpus.pipelines[{i}]", ConfigError)
+            for i, p in enumerate(pipelines)
+        ]
+        corpus = build(CorpusSpec, {**section, "seed": seed}, "corpus", ConfigError)
 
-    model_section = dict(data.get("model", {}))
-    _check_keys(model_section, _MODEL_KEYS, "model")
-    try:
-        model = ModelConfig(**model_section)
-    except ParameterError as exc:
-        raise ConfigError(f"model section: {exc}") from exc
+    model = build(ModelConfig, data.get("model", {}), "model", ConfigError)
 
-    train_section = dict(data.get("train", {}))
-    _check_keys(train_section, _TRAIN_KEYS, "train")
+    train_section = dict(check_type(data.get("train", {}), dict, "train", ConfigError))
     if "train" in data and "seed" not in train_section:
         raise ConfigError("train section is missing an explicit seed")
-    augment = train_section.pop("augment", False)
-    try:
-        train_cfg = TrainConfig(**train_section)
-    except (ParameterError, TypeError) as exc:
-        raise ConfigError(f"train section: {exc}") from exc
+    augment = check_type(train_section.pop("augment", False), bool, "train.augment", ConfigError)
+    train_cfg = build(TrainConfig, train_section, "train", ConfigError)
     if augment:
         train_cfg.augment = AugmentPolicy(crop=model.input_size)
 
-    distortions = [parse_distortion(d) for d in data.get("distortions", ["none"])]
-    ablate_n = list(data.get("ablate_n", [0, 1, 2, 3, 4]))
+    distortions = check_type(data.get("distortions", ["none"]), list, "distortions", ConfigError)
+    distortions = [parse_distortion(d) for d in distortions]
+    ablate_n = check_type(data.get("ablate_n", [0, 1, 2, 3, 4]), list, "ablate_n", ConfigError)
     for n in ablate_n:
-        if not 0 <= int(n) <= 4:
+        if not 0 <= check_type(n, int, "ablate_n entry", ConfigError) <= 4:
             raise ConfigError(f"ablate_n entries must be in 0..4, got {n}")
 
     digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()

@@ -159,16 +159,18 @@ def write_manifest(path, manifest: Manifest) -> None:
 def read_manifest(path) -> Manifest:
     entries = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise FormatError(f"{path}: bad manifest header {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise FormatError(f"{path}: malformed manifest row {row}")
-            entries.append(ManifestEntry(row[0], row[1], row[2], int(row[3])))
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}: unreadable manifest: {exc}") from exc
+    if not rows or rows[0] != MANIFEST_HEADER:
+        raise FormatError(f"{path}: bad manifest header {rows[0] if rows else None}")
+    for row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != 4 or not (row[3].isascii() and row[3].isdigit()):
+            raise FormatError(f"{path}: malformed manifest row {row}")
+        entries.append(ManifestEntry(row[0], row[1], row[2], int(row[3])))
     manifest = Manifest(entries, root=os.path.dirname(os.path.abspath(path)))
     manifest.validate()
     return manifest

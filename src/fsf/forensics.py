@@ -135,10 +135,8 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def downsample(image: np.ndarray, ratio: float = 0.5) -> np.ndarray:
+def downsample(image: np.ndarray) -> np.ndarray:
     """Bilinear resampling to half size (half-pixel centers)."""
-    if ratio != 0.5:
-        raise ParameterError(f"only ratio 0.5 is supported, got {ratio}")
     planes, squeeze = _as_channels(image)
 
     def axis_weights(n, n_out):
@@ -197,19 +195,22 @@ class DistortionConfig:
 
     kind: str = "none"
     jpeg_quality: int = 95
-    down_ratio: float = 0.5
     blur_sigma: float = 1.0
 
     def __post_init__(self):
         if self.kind not in DISTORTION_KINDS:
             raise ParameterError(f"unknown distortion kind {self.kind!r}")
+        if not 1 <= self.jpeg_quality <= 100:
+            raise ParameterError(f"jpeg quality must be in 1..100, got {self.jpeg_quality}")
+        if not 0 <= self.blur_sigma < np.inf:
+            raise ParameterError(f"blur sigma must be finite and >= 0, got {self.blur_sigma}")
 
     @property
     def label(self) -> str:
         return {
             "none": "none",
             "jpeg": f"jpeg{self.jpeg_quality}",
-            "downsample": f"down{self.down_ratio}",
+            "downsample": "down0.5",
             "gaussian_blur": f"blur{self.blur_sigma:g}",
         }[self.kind]
 
@@ -217,7 +218,7 @@ class DistortionConfig:
         if self.kind == "jpeg":
             return jpeg_distort(image, self.jpeg_quality)
         if self.kind == "downsample":
-            return downsample(image, self.down_ratio)
+            return downsample(image)
         if self.kind == "gaussian_blur":
             return gaussian_blur(image, self.blur_sigma)
         return np.asarray(image, dtype=np.float64)
@@ -232,7 +233,6 @@ class AugmentPolicy:
     p_down: float = 0.1
     jpeg_quality_range: tuple = (70, 100)  # uniform integers, inclusive
     blur_sigma_range: tuple = (0.0, 1.0)
-    down_ratio: float = 0.5
     crop: int = 224
 
     def __post_init__(self):
@@ -253,10 +253,15 @@ class AugmentPlan:
     downsample: bool = False
 
 
-def draw_augment_plan(policy: AugmentPolicy, rng: np.random.Generator) -> AugmentPlan:
-    """Sample the three independent gates (fixed draw order: jpeg, blur, down)."""
-    gates = rng.random(3)
+def draw_augment_plan(policy: AugmentPolicy | None, rng: np.random.Generator) -> AugmentPlan:
+    """Sample the three independent gates (fixed draw order: jpeg, blur, down).
+
+    Without a policy the plan is empty and nothing is drawn from ``rng``.
+    """
     plan = AugmentPlan()
+    if policy is None:
+        return plan
+    gates = rng.random(3)
     if gates[0] < policy.p_jpeg:
         lo, hi = policy.jpeg_quality_range
         plan.jpeg_quality = int(rng.integers(lo, hi + 1))
@@ -268,17 +273,18 @@ def draw_augment_plan(policy: AugmentPolicy, rng: np.random.Generator) -> Augmen
     return plan
 
 
-def apply_augment_plan(image: np.ndarray, plan: AugmentPlan, policy: AugmentPolicy) -> np.ndarray:
+def apply_augment_plan(image: np.ndarray, plan: AugmentPlan, size: int) -> np.ndarray:
+    """Apply the plan's distortions, then center-crop/pad to ``size``."""
     out = np.asarray(image, dtype=np.float64)
     if plan.jpeg_quality is not None:
         out = jpeg_distort(out, plan.jpeg_quality)
     if plan.blur_sigma is not None:
         out = gaussian_blur(out, plan.blur_sigma)
     if plan.downsample:
-        out = downsample(out, policy.down_ratio)
-    return center_crop_pad(out, policy.crop)
+        out = downsample(out)
+    return center_crop_pad(out, size)
 
 
 def augment(image: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
     """Randomly distort then center-crop/pad one image (deterministic per rng state)."""
-    return apply_augment_plan(image, draw_augment_plan(policy, rng), policy)
+    return apply_augment_plan(image, draw_augment_plan(policy, rng), policy.crop)

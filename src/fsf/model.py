@@ -78,23 +78,6 @@ class ModelConfig:
     def feature_width(self) -> int:
         return self.channels * (self.n_units + 1)
 
-    def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "channels": self.channels,
-            "n_units": self.n_units,
-            "input_size": self.input_size,
-            "leaky_slope": self.leaky_slope,
-            "head_hidden": self.head_hidden,
-            "norm_eps": self.norm_eps,
-            "mag_eps": self.mag_eps,
-            "dtype": self.dtype,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**data)
-
 
 class FractalCNN:
     """Parameter container plus hand-written forward/backward passes."""

@@ -113,7 +113,7 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, upstream: np.ndarray):
 # 4x4 stride-2 transposed convolution (simulator use; no gradient needed)
 # ---------------------------------------------------------------------------
 
-def transposed_conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 2) -> np.ndarray:
+def transposed_conv2d(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Fractionally strided convolution: (C, H, W) -> (O, 2H, 2W).
 
     kernels: (C, O, 4, 4).  Padding is fixed at 1 so the output is exactly
@@ -121,8 +121,6 @@ def transposed_conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 2) -> np
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
-    if stride != 2:
-        raise ParameterError(f"only stride 2 is supported, got {stride}")
     if x.ndim != 3:
         raise DimensionError(f"expected C x H x W input, got {x.shape}")
     if kernels.ndim != 4 or kernels.shape[2:] != (4, 4):

@@ -5,15 +5,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import ConfigError
+
 
 def worker_count() -> int:
-    """Thread cap from FSF_THREADS (default 1 = serial)."""
+    """Thread cap from FSF_THREADS (default 1 = serial); must be a positive integer."""
     raw = os.environ.get("FSF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise ConfigError(f"FSF_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def parallel_map(fn, items):

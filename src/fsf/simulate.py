@@ -193,8 +193,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.kind not in UPSAMPLE_KINDS:
             raise ParameterError(f"unknown upsampling kind {self.kind!r}")
-        if self.depth < 1:
-            raise ParameterError(f"depth must be >= 1, got {self.depth}")
+        if not 1 <= self.depth <= 11:  # 2 << 11 is generate_fake's 4096 cap; bounds the shift
+            raise ParameterError(f"depth must be in 1..11, got {self.depth}")
         if self.base_size < 2:
             raise ParameterError(f"base_size must be >= 2, got {self.base_size}")
         if self.kernel_scope not in ("pipeline", "image"):
@@ -283,6 +283,8 @@ class CorpusSpec:
         return float(lo + (hi - lo) * draw)
 
     def __post_init__(self):
+        self.holdout = tuple(self.holdout)
+        self.exponent_for(0)  # rejects an exponent that is neither a number nor a (lo, hi) pair
         names = [p.name for p in self.pipelines]
         if len(set(names)) != len(names):
             raise ParameterError(f"pipeline names must be unique, got {names}")

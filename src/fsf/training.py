@@ -130,14 +130,8 @@ def train(
             batch_idx = perm[start:start + train_cfg.batch_size]
             batch = []
             for i in batch_idx:
-                img = images[i]
-                if train_cfg.augment is not None:
-                    plan = draw_augment_plan(train_cfg.augment, epoch_rng)
-                    img = apply_augment_plan(img, plan, train_cfg.augment)
-                    img = noise_residual(img, kernel)
-                else:
-                    img = _prepare(img, size, kernel)
-                batch.append(img)
+                plan = draw_augment_plan(train_cfg.augment, epoch_rng)
+                batch.append(noise_residual(apply_augment_plan(images[i], plan, size), kernel))
             x = np.stack(batch)[..., None]
             y = labels[batch_idx]
 

@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -71,10 +75,71 @@ class TestCorruption:
         blob = bytearray(path.read_bytes())
         blob[0:8] = b"NOTMAGIC"
         # keep the checksum consistent so the magic check itself fires
-        import struct
-        import zlib
-
         body = bytes(blob[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+
+def resign(path, body):
+    """Write ``body`` with a valid trailing CRC, so only the parser can object."""
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def split_checkpoint(path):
+    """(header dict, parameter-block bytes) of a saved checkpoint."""
+    body = path.read_bytes()[:-4]
+    (header_len,) = struct.unpack_from("<I", body, 12)
+    return json.loads(body[16:16 + header_len]), body[16 + header_len:]
+
+
+def join_checkpoint(header, blocks):
+    header_bytes = json.dumps(header).encode("utf-8")
+    return b"FSFCKPT1" + struct.pack("<II", 1, len(header_bytes)) + header_bytes + blocks
+
+
+class TestMalformedContent:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("config"),
+            lambda h: h.pop("metadata"),
+            lambda h: h.update(extra=1),
+            lambda h: h["config"].update(dropout=0.5),
+            lambda h: h["config"].update(channels="a"),
+            lambda h: h.update(metadata=[1]),
+        ],
+        ids=["no_config", "no_metadata", "extra_key", "unknown_config_key",
+             "config_type", "metadata_not_object"],
+    )
+    def test_bad_header_rejected(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        header, blocks = split_checkpoint(path)
+        edit(header)
+        resign(path, join_checkpoint(header, blocks))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    # The blocks start: u32 count, then u16 name length, name, u8 ndim, u32 dims.
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda b: b[:-3],
+            lambda b: b + bytes(8),
+            lambda b: struct.pack("<I", struct.unpack_from("<I", b)[0] + 1) + b[4:],
+            lambda b: b[:7 + b[4]] + struct.pack("<I", 10 ** 6) + b[11 + b[4]:],
+            lambda b: b[:6] + b"\xff" + b[7:],
+            lambda b: b[:-8] + struct.pack("<d", np.nan),
+            lambda b: b[:-8] + struct.pack("<d", 1e300),
+        ],
+        ids=["truncated", "trailing", "extra_count", "overlong_dim", "undecodable_name",
+             "nan_value", "beyond_float32"],
+    )
+    def test_bad_parameter_block_rejected(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        header, blocks = split_checkpoint(path)
+        resign(path, join_checkpoint(header, edit(blocks)))
         with pytest.raises(FormatError):
             load_checkpoint(path)

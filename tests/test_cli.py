@@ -84,6 +84,34 @@ class TestConfigParsing:
             parse_distortion("rotate90")
 
 
+# Each config that once escaped as a raw exception or was accepted and then
+# failed partway through a run.
+PROBES = {
+    "model_not_object": lambda c: c.update(model=[1]),
+    "ablate_n_not_int": lambda c: c.update(ablate_n=["x"]),
+    "seed_not_int": lambda c: c.update(seed="abc"),
+    "distortion_jpegX": lambda c: c.update(distortions=["jpegX"]),
+    "pipelines_not_list": lambda c: c["corpus"].update(pipelines=5),
+    "channels_not_int": lambda c: c["model"].update(channels="a"),
+    "lr_not_number": lambda c: c["train"].update(lr="x"),
+    "augment_not_bool": lambda c: c["train"].update(augment=[1]),
+    "distortion_jpeg0": lambda c: c.update(distortions=["jpeg0"]),
+    "distortion_blur-1": lambda c: c.update(distortions=["blur-1"]),
+    "distortion_down0.7": lambda c: c.update(distortions=["down0.7"]),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_bad_config_rejected(tmp_path, capsys, probe):
+    path, cfg = experiment_config(tmp_path)
+    PROBES[probe](cfg)
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_builds_balanced_corpus(self, tmp_path, capsys):
         path, cfg = experiment_config(tmp_path)

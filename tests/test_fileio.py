@@ -116,6 +116,20 @@ class TestManifest:
         with pytest.raises(FormatError):
             read_manifest(path)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"path,label,pipeline,seed\nimages/r0.pgm,real,real,x1\n",
+            b"path,label,pipeline,seed\nimages/r\xff.pgm,real,real,1\n",
+        ],
+        ids=["non_integer_seed", "not_utf8"],
+    )
+    def test_unreadable_row_rejected(self, tmp_path, payload):
+        path = tmp_path / "m.csv"
+        path.write_bytes(payload)
+        with pytest.raises(FormatError):
+            read_manifest(path)
+
 
 class TestTables:
     def test_csv_and_text_mirror(self, tmp_path):

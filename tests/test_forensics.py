@@ -134,10 +134,6 @@ class TestDownsample:
     def test_odd_sizes_round_up(self):
         assert downsample(np.zeros((9, 7))).shape == (5, 4)
 
-    def test_other_ratios_rejected(self):
-        with pytest.raises(ParameterError):
-            downsample(np.zeros((8, 8)), ratio=0.25)
-
 
 class TestCenterCropPad:
     def test_matching_size_is_identity(self):

@@ -1,7 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from fsf.errors import DimensionError, ParameterError
+from fsf.errors import ConfigError, DimensionError, ParameterError, build
 from fsf.model import FractalCNN, ModelConfig, bce_with_logits
 
 
@@ -65,7 +67,7 @@ class TestConfig:
 
     def test_round_trip_dict(self):
         cfg = toy_config(2)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert build(ModelConfig, asdict(cfg), "model", ConfigError) == cfg
 
     def test_feature_width(self):
         assert ModelConfig(channels=32, n_units=3, input_size=64).feature_width == 128

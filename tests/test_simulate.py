@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from fsf.errors import DimensionError, ParameterError
+from fsf.errors import ConfigError, DimensionError, ParameterError
+from fsf.parallel import worker_count
 from fsf.simulate import (
     CorpusSpec,
     PipelineConfig,
@@ -326,3 +327,10 @@ class TestBuildCorpus:
             return digest.hexdigest()
 
         assert tree_hash(build(1)) == tree_hash(build(4))
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_bad_thread_cap_rejected(monkeypatch, raw):
+    monkeypatch.setenv("FSF_THREADS", raw)
+    with pytest.raises(ConfigError):
+        worker_count()
