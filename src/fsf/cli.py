@@ -99,7 +99,8 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
         if key not in data:
             raise ConfigError(f"config is missing required key {key!r}")
     seed = data["seed"] if seed_override is None else seed_override
-    check_type(seed, int, "seed", ConfigError)
+    if check_type(seed, int, "seed", ConfigError) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out_dir = data["out_dir"] if out_override is None else out_override
     check_type(out_dir, str, "out_dir", ConfigError)
 

@@ -4,11 +4,12 @@ The transform is the plain unshifted DFT,
 
     F[u, v] = sum_{x, y} a[x, y] * exp(-2j*pi*(u*x/H + v*y/W)),
 
-computed with a four-step (matrix-matrix) decomposition for power-of-two
-lengths, a recursive mixed-radix decomposition for other composite lengths,
-and Bluestein's chirp-z convolution, itself padded to a power of two, for
-large prime factors.  Everything operates on the trailing axes of an array,
-so batches of planes transform in one call.
+computed with a four-step (matrix-matrix) decomposition N = n1 * n2 for
+every composite length.  Each sub-transform is a dense DFT GEMM when its
+prime factors are all at most 61, and otherwise recurses; prime lengths up
+to 61 are one dense GEMM and larger primes run Bluestein's chirp-z
+convolution, itself padded to a power of two.  Everything operates on the
+trailing axes of an array, so batches of planes transform in one call.
 
 Inputs of dtype float32/complex64 are transformed in single precision;
 everything else runs in double precision.
@@ -16,79 +17,65 @@ everything else runs in double precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError
 
-# Primes up to this bound are transformed with a dense DFT matrix; larger
-# primes fall back to Bluestein.  Covers every factor of the common crop
-# sizes (224 = 2^5 * 7) without the chirp detour.
+# Lengths whose prime factors are all up to this bound get a dense DFT
+# matrix; a larger prime factor goes through Bluestein.  Covers every factor
+# of the common crop sizes (224 = 2^5 * 7) without the chirp detour.
 _MAX_DIRECT_PRIME = 61
 
-_dft_mat_cache: dict = {}
 _chirp_cache: dict = {}
-_four_step_cache: dict = {}
+_plan_cache: dict = {}
 
 
-def _dft_matrix(n: int) -> np.ndarray:
-    """Dense forward DFT kernel exp(-2j*pi*j*k/n), cached per length."""
-    mat = _dft_mat_cache.get(n)
-    if mat is None:
-        k = np.arange(n)
-        mat = np.exp((-2j * np.pi / n) * np.outer(k, k))
-        _dft_mat_cache[n] = mat
-    return mat
+def _dense(n: int, dtype: np.dtype):
+    """Forward DFT kernel exp(-2j*pi*j*k/n) cast to ``dtype``, or None when n
+    has a prime factor above ``_MAX_DIRECT_PRIME``."""
+    rest = n
+    for p in range(2, _MAX_DIRECT_PRIME + 1):
+        while rest % p == 0:
+            rest //= p
+    if rest != 1:
+        return None
+    k = np.arange(n)
+    return np.exp((-2j * np.pi / n) * np.outer(k, k)).astype(dtype)
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
+def _plan(n: int, dtype: np.dtype) -> tuple:
+    """(n1, n2, n1-point matrix, n2-point matrix, twiddle) for length n.
 
-
-def _fft_four_step(x: np.ndarray) -> np.ndarray:
-    """Four-step transform of the last axis for N = n1 * n2 (both powers of 2).
-
-    Writing the input index as n2*j1 + j2 and the output index as
-    n1*k2 + k1, the DFT factorizes into an n1-point transform over j1,
-    a twiddle multiplication, and an n2-point transform over j2.  Both
-    small transforms run as dense GEMMs on the trailing axis.
+    n1 is the largest divisor of n not above sqrt(n), so a prime n has
+    n1 == 1.  A matrix is None where its sub-length has a prime factor
+    above the dense bound; that sub-transform recurses instead.
     """
-    n = x.shape[-1]
-    plan = _four_step_cache.get(n)
+    key = (n, dtype)
+    plan = _plan_cache.get(key)
     if plan is None:
-        half_bits = (n.bit_length() - 1) // 2
-        n1 = 1 << half_bits
+        n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
         n2 = n // n1
         twiddle = np.exp(
             (-2j * np.pi / n) * np.outer(np.arange(n2), np.arange(n1))
-        )  # indexed [j2, k1]
-        _four_step_cache[n] = (n1, n2, twiddle)
-        plan = _four_step_cache[n]
-    n1, n2, twiddle = plan
-    lead = x.shape[:-1]
-    m1 = _dft_matrix(n1).astype(x.dtype, copy=False)
-    m2 = _dft_matrix(n2).astype(x.dtype, copy=False)
-    tw = twiddle.astype(x.dtype, copy=False)
+        ).astype(dtype)  # indexed [j2, k1]
+        plan = _plan_cache[key] = (n1, n2, _dense(n1, dtype), _dense(n2, dtype), twiddle)
+    return plan
 
-    grid = x.reshape(lead + (n1, n2))
-    a = np.ascontiguousarray(grid.swapaxes(-2, -1))  # [j2, j1]
-    a = (a.reshape(-1, n1) @ m1).reshape(a.shape)  # n1-point transform -> [j2, k1]
-    a *= tw
-    a = np.ascontiguousarray(a.swapaxes(-2, -1))  # [k1, j2]
-    a = (a.reshape(-1, n2) @ m2).reshape(a.shape)  # n2-point transform -> [k1, k2]
-    return np.ascontiguousarray(a.swapaxes(-2, -1)).reshape(lead + (n,))
+
+def _sub_transform(a: np.ndarray, mat) -> np.ndarray:
+    """Transform of the last axis of a contiguous ``a`` by a plan matrix."""
+    if mat is None:
+        return _fft_last(a)
+    return (a.reshape(-1, mat.shape[0]) @ mat).reshape(a.shape)
 
 
 def _bluestein(x: np.ndarray) -> np.ndarray:
     """Chirp-z transform of the last axis; used for large prime lengths."""
     n = x.shape[-1]
-    cached = _chirp_cache.get(n)
+    key = (n, x.dtype)
+    cached = _chirp_cache.get(key)
     if cached is None:
         k = np.arange(n)
         # Exponent reduced mod 2n to keep the angle small for large n.
@@ -97,48 +84,36 @@ def _bluestein(x: np.ndarray) -> np.ndarray:
         kernel = np.zeros(size, dtype=np.complex128)
         kernel[:n] = np.conj(chirp)
         kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
-        kernel_f = _fft_four_step(kernel)
-        _chirp_cache[n] = (chirp, kernel_f, size)
-        cached = _chirp_cache[n]
+        kernel_f = _fft_last(kernel)
+        cached = _chirp_cache[key] = (chirp.astype(x.dtype), kernel_f.astype(x.dtype), size)
     chirp, kernel_f, size = cached
-    chirp = chirp.astype(x.dtype, copy=False)
-    kernel_f = kernel_f.astype(x.dtype, copy=False)
 
     buf = np.zeros(x.shape[:-1] + (size,), dtype=x.dtype)
     buf[..., :n] = x * chirp
-    conv = _ifft_last(_fft_four_step(buf) * kernel_f)
+    conv = _ifft_last(_fft_last(buf) * kernel_f)
     return conv[..., :n] * chirp
 
 
-def _fft_mixed(x: np.ndarray) -> np.ndarray:
-    """Recursive mixed-radix (Cooley-Tukey) transform of the last axis."""
-    n = x.shape[-1]
-    if n == 1:
-        return x.copy()
-    p = _smallest_prime_factor(n)
-    if p == n:
-        if n <= _MAX_DIRECT_PRIME:
-            mat = _dft_matrix(n).astype(x.dtype, copy=False)
-            return x @ mat
-        return _bluestein(x)
-    m = n // p
-    # Decimate in time: index j = p*j1 + j2 -> sub-transforms of stride p.
-    sub = np.ascontiguousarray(x.reshape(x.shape[:-1] + (m, p)).swapaxes(-2, -1))
-    sub = _fft_last(sub)  # (..., p, m): rows indexed by j2
-    twiddle = np.exp((-2j * np.pi / n) * np.outer(np.arange(p), np.arange(m)))
-    sub = sub * twiddle.astype(x.dtype, copy=False)
-    mat = _dft_matrix(p).astype(x.dtype, copy=False)
-    combined = mat @ sub  # output index k = r + m*q lives at [..., q, r]
-    return combined.reshape(x.shape[:-1] + (n,))
-
-
 def _fft_last(x: np.ndarray) -> np.ndarray:
+    """Four-step transform of the last axis.
+
+    Writing the input index as n2*j1 + j2 and the output index as
+    n1*k2 + k1, the DFT factorizes into an n1-point transform over j1,
+    a twiddle multiplication, and an n2-point transform over j2.
+    """
     n = x.shape[-1]
     if n == 1:
         return x.copy()
-    if n & (n - 1) == 0:
-        return _fft_four_step(x)
-    return _fft_mixed(x)
+    n1, n2, m1, m2, twiddle = _plan(n, x.dtype)
+    if n1 == 1:  # prime
+        return _bluestein(x) if m2 is None else x @ m2
+    lead = x.shape[:-1]
+    a = np.ascontiguousarray(x.reshape(lead + (n1, n2)).swapaxes(-2, -1))  # [j2, j1]
+    a = _sub_transform(a, m1)  # n1-point transform -> [j2, k1]
+    a *= twiddle
+    a = np.ascontiguousarray(a.swapaxes(-2, -1))  # [k1, j2]
+    a = _sub_transform(a, m2)  # n2-point transform -> [k1, k2]
+    return np.ascontiguousarray(a.swapaxes(-2, -1)).reshape(lead + (n,))
 
 
 def _ifft_last(x: np.ndarray) -> np.ndarray:

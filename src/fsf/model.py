@@ -61,6 +61,10 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        if min(self.in_channels, self.channels, self.head_hidden) < 1:
+            raise ParameterError("in_channels, channels and head_hidden must be >= 1")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ParameterError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
         if not 0 <= self.n_units <= 4:
             raise ParameterError(f"n_units must be in 0..4, got {self.n_units}")
         if self.input_size % (1 << self.n_units):

@@ -168,7 +168,7 @@ def leaky_relu(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     if not 0.0 < slope < 1.0:
         raise ParameterError(f"slope must lie in (0, 1), got {slope}")
     x = np.asarray(x)
-    return np.where(x >= 0, x, x * x.dtype.type(slope))
+    return np.maximum(x, x * x.dtype.type(slope))  # equals np.where(x >= 0, x, slope * x)
 
 
 def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.2) -> np.ndarray:
@@ -188,10 +188,11 @@ def instance_norm_nhwc(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: f
     """
     if x.shape[1] * x.shape[2] < 2:
         raise ParameterError(f"spatial extent {x.shape[1:3]} too small to normalize")
-    mu = x.mean(axis=(1, 2), keepdims=True)
-    var = x.var(axis=(1, 2), keepdims=True)
+    xhat = x - x.mean(axis=(1, 2), keepdims=True)
+    # np.var's own reduction on the centred copy, so var is bitwise x.var(axis=(1, 2))
+    var = np.add.reduce(xhat * xhat, axis=(1, 2), keepdims=True) / (x.shape[1] * x.shape[2])
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat *= inv
     y = xhat * gain + bias
     return y, (xhat, inv, gain)
 

@@ -193,6 +193,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.kind not in UPSAMPLE_KINDS:
             raise ParameterError(f"unknown upsampling kind {self.kind!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.depth <= 11:  # 2 << 11 is generate_fake's 4096 cap; bounds the shift
             raise ParameterError(f"depth must be in 1..11, got {self.depth}")
         if self.base_size < 2:
@@ -283,6 +285,8 @@ class CorpusSpec:
         return float(lo + (hi - lo) * draw)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         self.holdout = tuple(self.holdout)
         self.exponent_for(0)  # rejects an exponent that is neither a number nor a (lo, hi) pair
         names = [p.name for p in self.pipelines]

@@ -36,6 +36,12 @@ class TrainConfig:
     augment: AugmentPolicy | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.lr < float("inf"):
+            raise ParameterError(f"lr must be positive and finite, got {self.lr}")
+        if self.residual_kernel < 1 or self.residual_kernel % 2 == 0:
+            raise ParameterError(f"residual_kernel must be odd and positive, got {self.residual_kernel}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ParameterError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.patience < 1:

@@ -98,6 +98,16 @@ PROBES = {
     "distortion_jpeg0": lambda c: c.update(distortions=["jpeg0"]),
     "distortion_blur-1": lambda c: c.update(distortions=["blur-1"]),
     "distortion_down0.7": lambda c: c.update(distortions=["down0.7"]),
+    "seed_negative": lambda c: c.update(seed=-1),
+    "train_seed_negative": lambda c: c["train"].update(seed=-1),
+    "pipeline_seed_negative": lambda c: c["corpus"]["pipelines"][0].update(seed=-1),
+    "channels_zero": lambda c: c["model"].update(channels=0),
+    "head_hidden_zero": lambda c: c["model"].update(head_hidden=0),
+    "in_channels_zero": lambda c: c["model"].update(in_channels=0),
+    "leaky_slope_zero": lambda c: c["model"].update(leaky_slope=0),
+    "leaky_slope_one": lambda c: c["model"].update(leaky_slope=1.0),
+    "lr_negative": lambda c: c["train"].update(lr=-1),
+    "residual_kernel_even": lambda c: c["train"].update(residual_kernel=4),
 }
 
 

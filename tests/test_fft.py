@@ -48,6 +48,33 @@ def test_naive_oracle_equivalence(size):
     assert rel_err(dft2(x), naive_dft2(x)) < 1e-9
 
 
+# Composite lengths that are not powers of two: smooth ones (6 .. 225), and
+# ones whose four-step split leaves a prime above the dense bound (194 =
+# 2 * 97, 201 = 3 * 67) for Bluestein.
+@pytest.mark.parametrize("n", [6, 9, 25, 49, 100, 112, 194, 201, 225])
+def test_composite_lengths_match_naive_oracle(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n))
+    assert rel_err(dft2(x), naive_dft2(x)) < 1e-9
+    assert rel_err(idft2(dft2(x)).real, x) < 1e-9
+
+
+@pytest.mark.parametrize("n", [56, 224])
+def test_single_precision_composite_matches_double(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((2, n, n))
+    got = dft2(x.astype(np.float32))
+    assert got.dtype == np.complex64
+    assert rel_err(got, dft2(x)) < 1e-5
+
+
+def test_large_prime_factor_of_composite_runs_bluestein():
+    # A dense 100003-point DFT matrix would need 160 GB; the split must send
+    # that factor through Bluestein.
+    x = np.random.default_rng(5).standard_normal(2 * 100003)
+    assert rel_err(fft1d(x), np.fft.fft(x)) < 1e-9
+
+
 @pytest.mark.parametrize("n", [17, 31, 101, 149])
 def test_large_prime_lengths_use_bluestein_correctly(n):
     rng = np.random.default_rng(n)

@@ -9,6 +9,7 @@ from fsf.ops import (
     elementwise_mul_backward,
     instance_norm,
     instance_norm_backward,
+    instance_norm_nhwc,
     leaky_relu,
     leaky_relu_backward,
     median_filter,
@@ -167,6 +168,21 @@ class TestLeakyRelu:
         with pytest.raises(ParameterError):
             leaky_relu(np.zeros(3), 1.5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_where_form(self, dtype):
+        rng = np.random.default_rng(12)
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.concatenate([
+            rng.standard_normal(1000) * 10.0 ** rng.integers(-30, 30, 1000),
+            [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, np.nan],
+        ]).astype(dtype)
+        for slope in (0.01, 0.2, 0.5, 0.999):
+            got = leaky_relu(x, slope)
+            want = np.where(x >= 0, x, x * dtype(slope))
+            assert got.dtype == dtype
+            assert np.isnan(got[-1])
+            assert got[:-1].tobytes() == want[:-1].tobytes()
+
 
 class TestInstanceNorm:
     def test_unit_gain_zero_bias_standardizes(self):
@@ -180,6 +196,20 @@ class TestInstanceNorm:
         x = np.full((1, 4, 4), 7.0)
         y = instance_norm(x, np.ones(1), np.zeros(1))
         assert np.all(y == 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nhwc_bitwise_equal_to_mean_var_form(self, dtype):
+        rng = np.random.default_rng(13)
+        x = (rng.standard_normal((3, 9, 14, 5)) * 30 + 7).astype(dtype)
+        gain = rng.standard_normal(5).astype(dtype)
+        bias = rng.standard_normal(5).astype(dtype)
+        y, (xhat, inv, _) = instance_norm_nhwc(x, gain, bias)
+        mu = x.mean(axis=(1, 2), keepdims=True)
+        want_inv = 1.0 / np.sqrt(x.var(axis=(1, 2), keepdims=True) + 1e-5)
+        want_xhat = (x - mu) * want_inv
+        for got, want in ((y, want_xhat * gain + bias), (xhat, want_xhat), (inv, want_inv)):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_degenerate_spatial_map_raises(self):
         with pytest.raises(ParameterError):
