@@ -242,6 +242,11 @@ class AugmentPolicy:
         lo, hi = self.jpeg_quality_range
         if not (1 <= lo <= hi <= 100):
             raise ParameterError(f"bad jpeg quality range {self.jpeg_quality_range}")
+        lo, hi = self.blur_sigma_range
+        if not 0.0 <= lo <= hi < float("inf"):
+            raise ParameterError(f"bad blur sigma range {self.blur_sigma_range}")
+        if self.crop < 1:
+            raise ParameterError(f"crop must be >= 1, got {self.crop}")
 
 
 @dataclass

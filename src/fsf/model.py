@@ -18,9 +18,11 @@ With ``n_units = 0`` the pooled feature spectrum feeds the head directly,
 which is the direct-spectrum baseline the fractal variants are compared
 against.
 
-Activations are kept channel-last (B, H, W, C) so convolution im2col
-matrices stay contiguous; the spectrum stage transposes to channel-first
-for the trailing-axes transform and back.
+Activations are kept channel-last (B, H, W, C), the layout of the
+convolutions' im2col rows; the spectrum stage transposes to channel-first
+for the trailing-axes transform and back.  For the backward pass each
+convolution caches its input (a quadrant view for the branch convolutions),
+not its im2col matrix, which is nine times larger.
 """
 
 from __future__ import annotations
@@ -67,10 +69,16 @@ class ModelConfig:
             raise ParameterError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
         if not 0 <= self.n_units <= 4:
             raise ParameterError(f"n_units must be in 0..4, got {self.n_units}")
+        if self.input_size < 2:
+            raise ParameterError(f"input_size must be >= 2, got {self.input_size}")
         if self.input_size % (1 << self.n_units):
             raise ParameterError(
                 f"input_size {self.input_size} not divisible by 2^{self.n_units}"
             )
+        if not 0.0 < self.norm_eps < float("inf"):
+            raise ParameterError(f"norm_eps must be positive and finite, got {self.norm_eps}")
+        if not 0.0 <= self.mag_eps < float("inf"):
+            raise ParameterError(f"mag_eps must be >= 0 and finite, got {self.mag_eps}")
         if self.dtype not in ("float32", "float64"):
             raise ParameterError(f"dtype must be float32 or float64, got {self.dtype}")
 
@@ -156,19 +164,19 @@ class FractalCNN:
         stay input-dependent (a pooled normalized map would be constant).
         """
         p = self.params
-        z, col = conv3x3_nhwc(x, p[f"{name}_w"], None)
+        z = conv3x3_nhwc(x, p[f"{name}_w"], None)
         n, norm_cache = instance_norm_nhwc(z, p[f"{name}_g"], p[f"{name}_beta"], self.config.norm_eps)
         y = leaky_relu(n, self.config.leaky_slope)
         if keep:
-            cache[name] = (col, n, norm_cache)
+            cache[name] = (x, n, norm_cache)
         return y
 
     def _conv_norm_act_backward(self, upstream, name, cache, grads, need_input=True):
-        col, n, norm_cache = cache[name]
+        x, n, norm_cache = cache[name]
         dn = leaky_relu_backward(n, upstream, self.config.leaky_slope)
         dz, dg, dbeta = instance_norm_nhwc_backward(norm_cache, dn)
         dx, dw, _ = conv3x3_nhwc_backward(
-            col, self.params[f"{name}_w"], dz, need_input_grad=need_input
+            x, self.params[f"{name}_w"], dz, need_input_grad=need_input
         )
         grads[f"{name}_w"] = dw
         grads[f"{name}_g"] = dg
@@ -176,9 +184,9 @@ class FractalCNN:
         return dx
 
     def _plain_conv(self, x, name, cache, keep):
-        z, col = conv3x3_nhwc(x, self.params[f"{name}_w"], self.params[f"{name}_b"])
+        z = conv3x3_nhwc(x, self.params[f"{name}_w"], self.params[f"{name}_b"])
         if keep:
-            cache[name] = col
+            cache[name] = x
         return z
 
     def _plain_conv_backward(self, upstream, name, cache, grads):

@@ -5,8 +5,10 @@ Two styles of entry point live here:
 * channel-first functions (``conv2d``, ``instance_norm``, ...) that follow the
   single-image C x H x W contracts used by the simulator and feature code;
 * channel-last ``*_nhwc`` cores operating on batches (B, H, W, C), which the
-  detector uses directly because the 9*C im2col matrix stays contiguous in
-  that layout.
+  detector uses directly; in that layout each im2col row (the 3x3 window of
+  one output pixel, 9*C values) is nine contiguous channel runs.  The
+  convolution copies those rows chunk by chunk into a reused workspace
+  instead of building the whole matrix.
 
 All backward functions return analytic gradients; there is no autodiff graph.
 """
@@ -23,12 +25,41 @@ from .errors import DimensionError, ParameterError
 # 3x3 convolution (stride 1, zero padding 1)
 # ---------------------------------------------------------------------------
 
-def conv3x3_nhwc(x: np.ndarray, weights: np.ndarray, bias=None):
-    """Batched 3x3 cross-correlation.
+# Fewest im2col elements one forward GEMM chunk holds.  OpenBLAS (0.3.31)
+# sends sgemm/dgemm with M*N*K <= 1e6 to a small-matrix kernel that sums in
+# another order; above that, each output row's sums do not depend on M.  So
+# chunks of at least this size give bitwise the result of one full GEMM.
+_CHUNK_ELEMENTS = 1 << 20
 
-    x: (B, H, W, C); weights: (3, 3, C, O); bias: (O,) or None.
-    Returns (out, col) where ``col`` is the (B*H*W, 9*C) im2col matrix kept
-    for the backward pass.
+
+def _im2col_view(xp: np.ndarray) -> np.ndarray:
+    """(B, H+2, W+2, C) zero-padded input -> (B, H, W, 3, 3, C) window view."""
+    return sliding_window_view(xp, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+
+
+def _chunk_plan(b: int, h: int, w: int, k: int):
+    """Balanced (b0, b1, y0, y1) chunks of images b0:b1, output rows y0:y1.
+
+    Each chunk holds at least ``_CHUNK_ELEMENTS`` im2col elements (k per
+    output pixel) unless the whole matrix is smaller, which is one chunk.
+    An image smaller than a chunk is grouped whole with others; a larger one
+    is cut into bands of output rows.
+    """
+    rows = -(-_CHUNK_ELEMENTS // k)
+    if h * w < rows:
+        n = max(1, b // -(-rows // (h * w)))
+        return [(b * i // n, b * (i + 1) // n, 0, h) for i in range(n)]
+    n = h // -(-rows // w)
+    return [(i, i + 1, h * j // n, h * (j + 1) // n) for i in range(b) for j in range(n)]
+
+
+def conv3x3_nhwc(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
+    """Batched 3x3 cross-correlation, (B, H, W, C) -> (B, H, W, O).
+
+    weights: (3, 3, C, O); bias: (O,) or None.  The im2col rows are copied
+    chunk by chunk (see ``_chunk_plan``) into one reused workspace, and each
+    chunk's GEMM writes its rows of the output, so the full (B*H*W, 9*C)
+    matrix is never built.
     """
     b, h, w, c = x.shape
     o = weights.shape[3]
@@ -36,34 +67,51 @@ def conv3x3_nhwc(x: np.ndarray, weights: np.ndarray, bias=None):
         raise DimensionError(
             f"kernel shape {weights.shape} does not match {c} input channels"
         )
+    k = 9 * c
+    dtype = np.result_type(x, weights)
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B,H,W,C,3,3)
-    col = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b * h * w, 9 * c)
-    out = col @ weights.reshape(9 * c, o)
+    wmat = weights.reshape(k, o).astype(dtype, copy=False)
+    out = np.empty((b * h * w, o), dtype=dtype)
+    plan = _chunk_plan(b, h, w, k)
+    workspace = np.empty(max((b1 - b0) * (y1 - y0) for b0, b1, y0, y1 in plan) * w * k, dtype)
+    for b0, b1, y0, y1 in plan:
+        m = (b1 - b0) * (y1 - y0) * w
+        col = workspace[:m * k].reshape(b1 - b0, y1 - y0, w, 3, 3, c)
+        np.copyto(col, _im2col_view(xp[b0:b1, y0:y1 + 2]))
+        r0 = (b0 * h + y0) * w
+        np.matmul(col.reshape(m, k), wmat, out=out[r0:r0 + m])
     if bias is not None:
         out += bias
-    return out.reshape(b, h, w, o), col
+    return out.reshape(b, h, w, o)
 
 
-def conv3x3_nhwc_backward(col: np.ndarray, weights: np.ndarray, upstream: np.ndarray,
+def conv3x3_nhwc_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray,
                           need_input_grad: bool = True):
     """Gradients of conv3x3_nhwc. Returns (grad_input, grad_weights, grad_bias).
 
-    ``need_input_grad=False`` skips the input gradient (first-layer case)
-    and returns None in its place.
+    ``x`` is the forward input.  The weight gradient rebuilds the full im2col
+    matrix for one ``col.T @ upstream`` GEMM, since chunking that product
+    would split its sums.  ``need_input_grad=False`` skips the input
+    gradient (first-layer case) and returns None in its place.
     """
     b, h, w, o = upstream.shape
     c = weights.shape[2]
+    if x.shape != (b, h, w, c) or weights.shape != (3, 3, c, o):
+        raise DimensionError(
+            f"input {x.shape}, kernel {weights.shape} and upstream {upstream.shape} do not match"
+        )
     dflat = upstream.reshape(b * h * w, o)
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    col = np.ascontiguousarray(_im2col_view(xp)).reshape(b * h * w, 9 * c)
     grad_w = (col.T @ dflat).reshape(3, 3, c, o)
+    del col
     grad_b = dflat.sum(axis=0)
     if not need_input_grad:
         return None, grad_w, grad_b
     # grad wrt input = correlation of upstream with spatially flipped,
     # channel-swapped kernels; same padding geometry.
     wflip = np.ascontiguousarray(weights[::-1, ::-1].transpose(0, 1, 3, 2))
-    grad_x, _ = conv3x3_nhwc(upstream, wflip, None)
-    return grad_x, grad_w, grad_b
+    return conv3x3_nhwc(upstream, wflip, None), grad_w, grad_b
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias=None) -> np.ndarray:
@@ -83,7 +131,7 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias=None) -> np.ndarray:
         )
     xh = np.ascontiguousarray(x.transpose(1, 2, 0))[None]
     wh = np.ascontiguousarray(kernels.transpose(2, 3, 1, 0))
-    out, _ = conv3x3_nhwc(xh, wh, None if bias is None else np.asarray(bias))
+    out = conv3x3_nhwc(xh, wh, None if bias is None else np.asarray(bias))
     return np.ascontiguousarray(out[0].transpose(2, 0, 1))
 
 
@@ -99,9 +147,8 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, upstream: np.ndarray):
         )
     xh = np.ascontiguousarray(x.transpose(1, 2, 0))[None]
     wh = np.ascontiguousarray(kernels.transpose(2, 3, 1, 0))
-    _, col = conv3x3_nhwc(xh, wh, None)
     uh = np.ascontiguousarray(upstream.transpose(1, 2, 0))[None]
-    gx, gw, gb = conv3x3_nhwc_backward(col, wh, uh)
+    gx, gw, gb = conv3x3_nhwc_backward(xh, wh, uh)
     return (
         np.ascontiguousarray(gx[0].transpose(2, 0, 1)),
         np.ascontiguousarray(gw.transpose(3, 2, 0, 1)),
@@ -154,10 +201,18 @@ def median_filter(image: np.ndarray, k: int) -> np.ndarray:
         raise ParameterError(f"window size must be odd and positive, got {k}")
     if k == 1:
         return image.copy()
-    pad = k // 2
-    xp = np.pad(image, pad, mode="reflect")
-    win = sliding_window_view(xp, (k, k))
-    return np.median(win.reshape(image.shape + (k * k,)), axis=-1)
+    if not np.issubdtype(image.dtype, np.inexact):
+        image = image.astype(np.float64)  # np.median's result type
+    xp = np.pad(image, k // 2, mode="reflect")
+    win = sliding_window_view(xp, (k, k)).reshape(image.shape + (k * k,))
+    # The middle order statistic, as np.median selects it for an odd window;
+    # its mean of one element adds it to +0.0, which turns -0.0 into +0.0.
+    out = np.partition(win, k * k // 2, axis=-1)[..., k * k // 2] + 0.0
+    nan = np.isnan(xp)
+    if nan.any():  # NaN sorts last, so np.median's own NaN check decides
+        hit = sliding_window_view(nan, (k, k)).any(axis=(-2, -1))
+        out[hit] = np.median(win[hit], axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,11 @@ class TrainConfig:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.lr < float("inf"):
             raise ParameterError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ParameterError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.adam_eps < float("inf"):
+            raise ParameterError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if self.residual_kernel < 1 or self.residual_kernel % 2 == 0:
             raise ParameterError(f"residual_kernel must be odd and positive, got {self.residual_kernel}")
         if not 0.0 < self.val_fraction < 1.0:

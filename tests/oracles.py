@@ -5,6 +5,7 @@ sorting.  None of it shares code with the library implementations.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def rel_err(actual, expected):
@@ -62,6 +63,31 @@ def naive_conv2d(x, kernels, bias=None):
         if bias is not None:
             out[oc] += bias[oc]
     return out
+
+
+def im2col_conv3x3_nhwc(x, weights, bias=None):
+    """Single-GEMM 3x3 convolution of (B, H, W, C) over its full im2col matrix.
+
+    Returns (out, col) with ``col`` the (B*H*W, 9*C) matrix; the streamed
+    ``conv3x3_nhwc`` must reproduce ``out`` bit for bit.
+    """
+    b, h, w, c = x.shape
+    o = weights.shape[3]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B,H,W,C,3,3)
+    col = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b * h * w, 9 * c)
+    out = col @ weights.reshape(9 * c, o)
+    if bias is not None:
+        out += bias
+    return out.reshape(b, h, w, o), col
+
+
+def median_filter_np(x, k):
+    """Median filter with reflect borders through np.median over every window."""
+    if k == 1:
+        return x.copy()
+    xp = np.pad(x, k // 2, mode="reflect")
+    return np.median(sliding_window_view(xp, (k, k)).reshape(x.shape + (k * k,)), axis=-1)
 
 
 def zero_insert_then_conv(x, kernels):

@@ -108,6 +108,11 @@ PROBES = {
     "leaky_slope_one": lambda c: c["model"].update(leaky_slope=1.0),
     "lr_negative": lambda c: c["train"].update(lr=-1),
     "residual_kernel_even": lambda c: c["train"].update(residual_kernel=4),
+    "norm_eps_negative": lambda c: c["model"].update(norm_eps=-1),
+    "input_size_zero": lambda c: c["model"].update(input_size=0),
+    "beta1_one": lambda c: c["train"].update(beta1=1.0),
+    "beta2_above_one": lambda c: c["train"].update(beta2=1.5),
+    "adam_eps_negative": lambda c: c["train"].update(adam_eps=-1),
 }
 
 

@@ -203,6 +203,17 @@ class TestAugment:
         with pytest.raises(ParameterError):
             AugmentPolicy(p_jpeg=1.5)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"blur_sigma_range": (-0.5, 1.0)},
+        {"blur_sigma_range": (1.0, 0.5)},
+        {"blur_sigma_range": (0.0, float("inf"))},
+        {"blur_sigma_range": (float("nan"), 1.0)},
+        {"crop": 0},
+    ])
+    def test_bad_blur_range_or_crop_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            AugmentPolicy(**kwargs)
+
 
 class TestDistortionConfig:
     def test_labels(self):

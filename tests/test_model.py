@@ -164,6 +164,35 @@ class TestForward:
             model.fractal_unit_forward(np.zeros((1, 8, 8, 4)), 1)
 
 
+def _cached_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _cached_arrays(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _cached_arrays(v)
+
+
+def _base(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+class TestCacheMemory:
+    def test_step_cache_holds_no_im2col_matrix_and_stays_small(self):
+        cfg = ModelConfig(channels=32, n_units=2, input_size=64)
+        x = np.random.default_rng(30).standard_normal((4, 64, 64, 1))
+        _, cache = FractalCNN(cfg).forward(x)
+        arrays = list(_cached_arrays(cache))
+        bases = {id(b): b for b in map(_base, arrays)}
+        for a in arrays + list(bases.values()):
+            assert a.ndim < 2 or a.shape[-1] != 9 * cfg.channels, a.shape
+        assert sum(b.nbytes for b in bases.values()) <= 40e6
+
+
 class TestGradients:
     @pytest.mark.parametrize("n_units", [1, 2])
     def test_end_to_end_toy_model(self, n_units):

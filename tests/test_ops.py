@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from fsf.errors import DimensionError, ParameterError
+from fsf import ops
 from fsf.ops import (
     conv2d,
     conv2d_backward,
+    conv3x3_nhwc,
+    conv3x3_nhwc_backward,
     elementwise_mul,
     elementwise_mul_backward,
     instance_norm,
@@ -16,7 +19,15 @@ from fsf.ops import (
     transposed_conv2d,
 )
 
-from oracles import fd_gradient, naive_conv2d, rel_err, sort_median_filter, zero_insert_then_conv
+from oracles import (
+    fd_gradient,
+    im2col_conv3x3_nhwc,
+    median_filter_np,
+    naive_conv2d,
+    rel_err,
+    sort_median_filter,
+    zero_insert_then_conv,
+)
 
 
 class TestConv2d:
@@ -90,6 +101,67 @@ class TestConv2d:
             conv2d_backward(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros((2, 5, 4)))
 
 
+# (input shape, output channels): one small GEMM under OpenBLAS's small-matrix
+# threshold, row bands of one image with a remainder, image groups, and a
+# whole matrix smaller than one chunk.
+STREAM_SHAPES = [
+    ((2, 32, 32, 8), 8),
+    ((1, 224, 224, 32), 32),
+    ((8, 224, 224, 1), 32),
+    ((20, 16, 16, 32), 32),
+    ((32, 64, 64, 1), 32),
+    ((1, 5, 7, 2), 3),
+]
+
+
+class TestConv3x3Nhwc:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,o", STREAM_SHAPES)
+    def test_streamed_forward_bitwise_equals_single_gemm(self, shape, o, dtype):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((3, 3, shape[3], o)).astype(dtype)
+        b = rng.standard_normal(o).astype(dtype)
+        expected, _ = im2col_conv3x3_nhwc(x, w, b)
+        out = conv3x3_nhwc(x, w, b)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_bitwise_equals_single_gemm_forms(self, dtype):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((3, 48, 40, 16)).astype(dtype)
+        w = rng.standard_normal((3, 3, 16, 8)).astype(dtype)
+        up = rng.standard_normal((3, 48, 40, 8)).astype(dtype)
+        gx, gw, gb = conv3x3_nhwc_backward(x, w, up)
+        _, col = im2col_conv3x3_nhwc(x, w)
+        dflat = up.reshape(-1, 8)
+        assert np.array_equal(gw, (col.T @ dflat).reshape(3, 3, 16, 8))
+        assert np.array_equal(gb, dflat.sum(0))
+        wflip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
+        assert np.array_equal(gx, im2col_conv3x3_nhwc(up, wflip)[0])
+        none, gw2, gb2 = conv3x3_nhwc_backward(x, w, up, need_input_grad=False)
+        assert none is None and np.array_equal(gw2, gw) and np.array_equal(gb2, gb)
+
+    @pytest.mark.parametrize("b,h,w,c", [(2, 32, 32, 8), (1, 224, 224, 32), (20, 16, 16, 32),
+                                         (7, 50, 3, 1), (1, 5, 7, 2), (0, 4, 4, 3)])
+    def test_chunk_plan_covers_every_row_once_in_large_chunks(self, b, h, w, c):
+        plan = ops._chunk_plan(b, h, w, 9 * c)
+        covered = np.zeros((b, h), dtype=int)
+        for b0, b1, y0, y1 in plan:
+            assert b1 - b0 == 1 or (y0, y1) == (0, h)
+            covered[b0:b1, y0:y1] += 1
+            if len(plan) > 1:
+                assert (b1 - b0) * (y1 - y0) * w * 9 * c >= ops._CHUNK_ELEMENTS
+        assert np.all(covered == 1)
+        for extent in ([b1 - b0 for b0, b1, _, _ in plan], [y1 - y0 for _, _, y0, y1 in plan]):
+            assert max(extent) - min(extent) <= 1  # balanced, no short tail
+
+    def test_backward_shape_mismatch_raises(self):
+        with pytest.raises(DimensionError):
+            conv3x3_nhwc_backward(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 3, 2)), np.zeros((1, 4, 4, 2)))
+
+
 class TestTransposedConv2d:
     def test_delta_input_stamps_kernel_on_stride2_grid(self):
         x = np.zeros((1, 3, 3))
@@ -148,6 +220,25 @@ class TestMedianFilter:
     def test_even_k_raises(self):
         with pytest.raises(ParameterError):
             median_filter(np.zeros((4, 4)), 2)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("kind", ["finite", "signed_zeros", "inf", "nan"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_np_median_form(self, k, kind, dtype):
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((23, 31)).astype(dtype)
+        if kind == "signed_zeros":
+            x[rng.random(x.shape) < 0.4] = 0.0
+            x[rng.random(x.shape) < 0.4] = -0.0
+        if kind == "inf":
+            x[rng.random(x.shape) < 0.15] = np.inf
+            x[rng.random(x.shape) < 0.15] = -np.inf
+        if kind == "nan":
+            x[rng.random(x.shape) < 0.03] = np.nan
+            x[0, 0] = -np.nan
+        out, expected = median_filter(x, k), median_filter_np(x, k)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestLeakyRelu:
