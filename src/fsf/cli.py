@@ -19,7 +19,9 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,13 +151,20 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
     )
 
 
-def write_run_meta(out_dir: str, command: str, seed, digest: str) -> None:
+def write_run_meta(out_dir: str, args, seed, digest: str) -> None:
+    """run_meta.json: the command, config hash, seed and versions, plus the
+    wall time since ``main`` parsed ``args``, the process's peak RSS and its
+    thread settings (None where a variable is unset)."""
     os.makedirs(out_dir, exist_ok=True)
     meta = {
-        "command": command,
+        "command": args.command,
         "config_sha256": digest,
         "seed": seed,
         "versions": {"fsf": __version__, "numpy": np.__version__},
+        "wall_s": round(time.perf_counter() - args.started, 3),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "threads": {k: os.environ.get(k) for k in ("FSF_THREADS", "OPENBLAS_NUM_THREADS")},
     }
     with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -172,7 +181,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs a corpus section in the config")
     corpus_dir = args.out or cfg.corpus_dir
     manifests = build_corpus(cfg.corpus, corpus_dir)
-    write_run_meta(corpus_dir, "simulate", cfg.seed, cfg.digest)
+    write_run_meta(corpus_dir, args, cfg.seed, cfg.digest)
     for split, manifest in manifests.items():
         counts: dict = {}
         for entry in manifest.entries:
@@ -186,7 +195,7 @@ def cmd_demo_fractal(args) -> int:
     out_dir = args.out or "formation_grid"
     rows = formation_grid(out_dir, args.seed if args.seed is not None else 0,
                           base_size=args.base_size, stages=args.stages)
-    write_run_meta(out_dir, "demo-fractal", args.seed or 0, "none")
+    write_run_meta(out_dir, args, args.seed or 0, "none")
     for row in rows:
         print(",".join(str(c) for c in row))
     return 0
@@ -196,7 +205,7 @@ def cmd_spectrum(args) -> int:
     manifest = read_manifest(args.manifest)
     out_dir = args.out or "spectra"
     rows = average_spectrum_report(manifest, out_dir, residual=args.residual)
-    write_run_meta(out_dir, "spectrum", None, "none")
+    write_run_meta(out_dir, args, None, "none")
     for row in rows:
         print(",".join(str(c) for c in row))
     return 0
@@ -233,7 +242,7 @@ def cmd_train(args) -> int:
         EpochStats.header(),
         [s.row() for s in history],
     )
-    write_run_meta(cfg.out_dir, "train", cfg.train.seed, cfg.digest)
+    write_run_meta(cfg.out_dir, args, cfg.train.seed, cfg.digest)
     print(
         f"trained {len(history)} epochs; best epoch {checkpoint.metadata['epoch']} "
         f"(val_loss {checkpoint.metadata['val_loss']:.6f}); saved {ckpt_path}"
@@ -256,7 +265,7 @@ def cmd_eval(args) -> int:
     rows.append(["overall"] + [f"{r.overall:.4f}" for r in results])
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_table(os.path.join(cfg.out_dir, "eval_grid.csv"), header, rows)
-    write_run_meta(cfg.out_dir, "eval", cfg.seed, cfg.digest)
+    write_run_meta(cfg.out_dir, args, cfg.seed, cfg.digest)
     from .fileio import format_table
 
     print(format_table(header, rows), end="")
@@ -275,7 +284,7 @@ def cmd_ablate(args) -> int:
     write_table(os.path.join(cfg.out_dir, "ablation.csv"), header, rows)
     for n, ckpt in checkpoints.items():
         save_checkpoint(os.path.join(cfg.out_dir, f"checkpoint_n{n}.ckpt"), ckpt)
-    write_run_meta(cfg.out_dir, "ablate", cfg.train.seed, cfg.digest)
+    write_run_meta(cfg.out_dir, args, cfg.train.seed, cfg.digest)
     from .fileio import format_table
 
     print(format_table(header, rows), end="")
@@ -342,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except (ConfigError, ParameterError, DimensionError) as exc:

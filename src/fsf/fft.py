@@ -11,6 +11,16 @@ to 61 are one dense GEMM and larger primes run Bluestein's chirp-z
 convolution, itself padded to a power of two.  Everything operates on the
 trailing axes of an array, so batches of planes transform in one call.
 
+Both axes of a 2-D transform run through two complex work buffers the size
+of the input, after Bailey, "FFTs in external or hierarchical memory"
+(J. Supercomputing, 1990).  Each stage gathers its operand from a strided
+view of the other buffer with one copy, multiplies it into the other buffer
+with one GEMM and applies its twiddle in place, so the gathers are the only
+transposes.  The first gather reads the caller's array in any layout and
+casts it; the row stage's last reorder and the column stage's first gather
+are one copy.  The result is a view of a work buffer whose row axis (the
+last but one) is the contiguous one.
+
 Inputs of dtype float32/complex64 are transformed in single precision;
 everything else runs in double precision.
 """
@@ -64,11 +74,13 @@ def _plan(n: int, dtype: np.dtype) -> tuple:
     return plan
 
 
-def _sub_transform(a: np.ndarray, mat) -> np.ndarray:
-    """Transform of the last axis of a contiguous ``a`` by a plan matrix."""
+def _sub(x: np.ndarray, y: np.ndarray, mat) -> None:
+    """``y`` = the transform of the last axis of the contiguous ``x`` by a
+    plan matrix, or by recursion where the matrix is None."""
     if mat is None:
-        return _fft_last(a)
-    return (a.reshape(-1, mat.shape[0]) @ mat).reshape(a.shape)
+        np.copyto(y, _fft_last(x))
+    else:
+        np.matmul(x.reshape(-1, mat.shape[0]), mat, out=y.reshape(-1, mat.shape[0]))
 
 
 def _bluestein(x: np.ndarray) -> np.ndarray:
@@ -90,80 +102,90 @@ def _bluestein(x: np.ndarray) -> np.ndarray:
 
     buf = np.zeros(x.shape[:-1] + (size,), dtype=x.dtype)
     buf[..., :n] = x * chirp
-    conv = _ifft_last(_fft_last(buf) * kernel_f)
+    conv = _fft_last(_fft_last(buf) * kernel_f, inverse=True)
     return conv[..., :n] * chirp
 
 
-def _fft_last(x: np.ndarray) -> np.ndarray:
-    """Four-step transform of the last axis.
+def _axis(src: np.ndarray, a: np.ndarray, b: np.ndarray, rows: int,
+          inverse: bool = False) -> np.ndarray:
+    """Four-step transform of the last axis of ``src`` through the flat work
+    buffers ``a`` and ``b`` (each of ``src.size``); returns the result as a
+    view of ``b``.
 
     Writing the input index as n2*j1 + j2 and the output index as
     n1*k2 + k1, the DFT factorizes into an n1-point transform over j1,
-    a twiddle multiplication, and an n2-point transform over j2.
+    a twiddle multiplication, and an n2-point transform over j2.  ``src``
+    may have any strides and dtype: the first gather reads and casts it.
+    The result's last two axes, (k2, k1), flatten to the transformed axis.
+    A dense prime length multiplies stacked (rows, n) matrices.  The
+    inverse conjugates before and after and divides by n.
     """
-    n = x.shape[-1]
+    n = src.shape[-1]
+    lead = src.shape[:-1]
+    n1, n2, m1, m2, twiddle = _plan(n, a.dtype)
+    x = a.reshape(lead + (n2, n1))  # [j2, j1]
+    np.copyto(x, src.reshape(lead + (n1, n2)).swapaxes(-2, -1), casting="unsafe")
+    if inverse:
+        np.conjugate(x, out=x)
+    y = b.reshape(lead + (n2, n1))
     if n == 1:
-        return x.copy()
-    n1, n2, m1, m2, twiddle = _plan(n, x.dtype)
-    if n1 == 1:  # prime
-        return _bluestein(x) if m2 is None else x @ m2
-    lead = x.shape[:-1]
-    a = np.ascontiguousarray(x.reshape(lead + (n1, n2)).swapaxes(-2, -1))  # [j2, j1]
-    a = _sub_transform(a, m1)  # n1-point transform -> [j2, k1]
-    a *= twiddle
-    a = np.ascontiguousarray(a.swapaxes(-2, -1))  # [k1, j2]
-    a = _sub_transform(a, m2)  # n2-point transform -> [k1, k2]
-    return np.ascontiguousarray(a.swapaxes(-2, -1)).reshape(lead + (n,))
+        np.copyto(y, x)
+    elif n1 == 1:  # prime
+        x, y = x.reshape(-1, rows, n), y.reshape(-1, rows, n)
+        if m2 is None:
+            np.copyto(y, _bluestein(x))
+        else:
+            np.matmul(x, m2, out=y)
+    else:
+        _sub(x, y, m1)  # n1-point transform -> [j2, k1]
+        y *= twiddle
+        x = a.reshape(lead + (n1, n2))
+        np.copyto(x, y.swapaxes(-2, -1))  # [k1, j2]
+        _sub(x, b.reshape(lead + (n1, n2)), m2)  # n2-point transform -> [k1, k2]
+    if inverse:
+        np.conjugate(b, out=b)
+        np.divide(b, n, out=b)
+    return b.reshape(lead + (n1, n2)).swapaxes(-2, -1)
 
 
-def _ifft_last(x: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_last(np.conj(x))) / x.shape[-1]
+def _fft_last(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Transform of the last axis of a complex array, as a new contiguous array."""
+    a, b = np.empty(x.size, x.dtype), np.empty(x.size, x.dtype)
+    y = _axis(x, a, b, x.shape[-2] if x.ndim > 1 else 1, inverse)
+    np.copyto(a.reshape(y.shape), y)
+    return a.reshape(x.shape)
 
 
-def _complex_dtype(x: np.ndarray) -> np.dtype:
-    if x.dtype in (np.float32, np.complex64):
-        return np.dtype(np.complex64)
-    return np.dtype(np.complex128)
-
-
-def _as_complex(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=_complex_dtype(x))
-
-
-def fft1d(x: np.ndarray, axis: int = -1, inverse: bool = False) -> np.ndarray:
-    """DFT along one axis of a possibly batched array."""
-    x = _as_complex(np.asarray(x))
-    if x.shape[axis] == 0:
-        raise DimensionError("cannot transform a zero-length axis")
-    moved = axis not in (-1, x.ndim - 1)
-    if moved:
-        x = np.ascontiguousarray(np.moveaxis(x, axis, -1))
-    out = _ifft_last(x) if inverse else _fft_last(x)
-    if moved:
-        out = np.moveaxis(out, -1, axis)
-    return out
+def _dft2(plane, inverse: bool) -> np.ndarray:
+    plane = np.asarray(plane)
+    name = "idft2" if inverse else "dft2"
+    if plane.ndim < 2:
+        raise DimensionError(f"{name} needs at least 2 axes, got shape {plane.shape}")
+    if plane.shape[-1] < 1 or plane.shape[-2] < 1:
+        raise DimensionError(f"{name} got a zero-sized plane {plane.shape}")
+    *lead, h, w = plane.shape
+    single = plane.dtype in (np.float32, np.complex64)
+    dtype = np.dtype(np.complex64 if single else np.complex128)
+    a, b = np.empty(plane.size, dtype), np.empty(plane.size, dtype)
+    rows = _axis(plane, a, b, h, inverse)  # (..., H, [W])
+    cols = _axis(np.moveaxis(rows, len(lead), -1), a, b, w, inverse)  # (..., [W], [H])
+    out = a.reshape(tuple(lead) + (w, h))
+    np.copyto(out.reshape(cols.shape), cols)
+    return out.swapaxes(-2, -1)
 
 
 def dft2(plane: np.ndarray) -> np.ndarray:
-    """Full complex 2-D DFT over the trailing two axes (unshifted layout)."""
-    plane = np.asarray(plane)
-    if plane.ndim < 2:
-        raise DimensionError(f"dft2 needs at least 2 axes, got shape {plane.shape}")
-    if plane.shape[-1] < 1 or plane.shape[-2] < 1:
-        raise DimensionError(f"dft2 got a zero-sized plane {plane.shape}")
-    out = fft1d(plane, axis=-1)
-    out = fft1d(out, axis=-2)
-    return out
+    """Full complex 2-D DFT over the trailing two axes (unshifted layout).
+
+    ``plane`` may be any strided view.  The result is a new array whose
+    row axis (the last but one) is the contiguous one.
+    """
+    return _dft2(plane, inverse=False)
 
 
 def idft2(spectrum: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dft2` (complex output; take ``.real`` for real signals)."""
-    spectrum = np.asarray(spectrum)
-    if spectrum.ndim < 2 or spectrum.shape[-1] < 1 or spectrum.shape[-2] < 1:
-        raise DimensionError(f"idft2 got an invalid shape {spectrum.shape}")
-    out = fft1d(spectrum, axis=-1, inverse=True)
-    out = fft1d(out, axis=-2, inverse=True)
-    return out
+    return _dft2(spectrum, inverse=True)
 
 
 def dft2_magnitude(plane: np.ndarray) -> np.ndarray:

@@ -200,19 +200,19 @@ class FractalCNN:
     def _spectrum_normalize(self, x, cache, keep):
         """Channel-wise |DFT|, log scaling, and standardization.
 
-        Input and output are channel-last; the transform itself runs on a
-        channel-first copy.
+        Input and output are channel-last.  The transform reads a
+        channel-first view, and the output is a channel-last view of
+        ``shat``: the next conv pads (copies) its input anyway.
         """
         eps = self.config.norm_eps
-        t = np.ascontiguousarray(x.transpose(0, 3, 1, 2))  # (B,C,H,W)
-        z = dft2(t)
+        z = dft2(x.transpose(0, 3, 1, 2))  # (B,C,H,W)
         mag = np.abs(z)
         lg = np.log1p(mag)
         mu = lg.mean(axis=(2, 3), keepdims=True)
         var = lg.var(axis=(2, 3), keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
         shat = (lg - mu) * inv
-        out = np.ascontiguousarray(shat.transpose(0, 2, 3, 1)).astype(x.dtype, copy=False)
+        out = shat.transpose(0, 2, 3, 1).astype(x.dtype, copy=False)
         if keep:
             cache["spectrum"] = (z, mag, shat, inv)
         return out

@@ -223,7 +223,9 @@ def leaky_relu(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     if not 0.0 < slope < 1.0:
         raise ParameterError(f"slope must lie in (0, 1), got {slope}")
     x = np.asarray(x)
-    return np.maximum(x, x * x.dtype.type(slope))  # equals np.where(x >= 0, x, slope * x)
+    y = x * x.dtype.type(slope)  # a numpy scalar for 0-d x
+    # equals np.where(x >= 0, x, slope * x)
+    return np.maximum(x, y, out=y) if y.ndim else np.maximum(x, y)
 
 
 def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.2) -> np.ndarray:
@@ -245,10 +247,15 @@ def instance_norm_nhwc(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: f
         raise ParameterError(f"spatial extent {x.shape[1:3]} too small to normalize")
     xhat = x - x.mean(axis=(1, 2), keepdims=True)
     # np.var's own reduction on the centred copy, so var is bitwise x.var(axis=(1, 2))
-    var = np.add.reduce(xhat * xhat, axis=(1, 2), keepdims=True) / (x.shape[1] * x.shape[2])
+    sq = np.multiply(xhat, xhat)
+    var = np.add.reduce(sq, axis=(1, 2), keepdims=True) / (x.shape[1] * x.shape[2])
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    y = xhat * gain + bias
+    if sq.dtype == np.result_type(sq, gain, bias):  # the squares' buffer becomes y
+        y = np.multiply(xhat, gain, out=sq)
+        y += bias
+    else:
+        y = xhat * gain + bias
     return y, (xhat, inv, gain)
 
 

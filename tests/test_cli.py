@@ -37,13 +37,22 @@ def experiment_config(tmp_path, **overrides):
     return path, cfg
 
 
+# Fields of run_meta.json that measure the run rather than describe it.
+MEASURED = ("wall_s", "peak_rss_mb")
+
+
 def tree_hash(root):
+    """Hash of every file under root; run_meta.json enters without MEASURED."""
     digest = hashlib.sha256()
     for dirpath, _, files in sorted(os.walk(root)):
         for name in sorted(files):
             with open(os.path.join(dirpath, name), "rb") as fh:
-                digest.update(name.encode())
-                digest.update(fh.read())
+                data = fh.read()
+            if name == "run_meta.json":
+                meta = json.loads(data)
+                data = json.dumps({k: v for k, v in meta.items() if k not in MEASURED}).encode()
+            digest.update(name.encode())
+            digest.update(data)
     return digest.hexdigest()
 
 
@@ -136,6 +145,17 @@ class TestSimulateCommand:
         corpus_dir = tmp_path / "corpus"
         assert (corpus_dir / "manifest_train.csv").exists()
         assert (corpus_dir / "run_meta.json").exists()
+
+    def test_run_meta_records_wall_time_memory_and_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FSF_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        path, _ = experiment_config(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 0
+        meta = json.loads((tmp_path / "corpus" / "run_meta.json").read_text())
+        assert meta["command"] == "simulate"
+        assert 0.0 <= meta["wall_s"] < 600.0
+        assert meta["peak_rss_mb"] > 10.0  # numpy alone is larger
+        assert meta["threads"] == {"FSF_THREADS": "2", "OPENBLAS_NUM_THREADS": None}
 
     def test_same_config_twice_gives_identical_tree(self, tmp_path):
         path, _ = experiment_config(tmp_path)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fsf.errors import DimensionError
-from fsf.fft import dft2, dft2_magnitude, dft2_magnitude_backward, fft1d, idft2
+from fsf.fft import dft2, dft2_magnitude, dft2_magnitude_backward, idft2
 
 from oracles import fd_gradient, loop_dft2, naive_dft2, rel_err
 
@@ -71,8 +73,8 @@ def test_single_precision_composite_matches_double(n):
 def test_large_prime_factor_of_composite_runs_bluestein():
     # A dense 100003-point DFT matrix would need 160 GB; the split must send
     # that factor through Bluestein.
-    x = np.random.default_rng(5).standard_normal(2 * 100003)
-    assert rel_err(fft1d(x), np.fft.fft(x)) < 1e-9
+    x = np.random.default_rng(5).standard_normal((1, 2 * 100003))
+    assert rel_err(dft2(x), np.fft.fft(x)) < 1e-9
 
 
 @pytest.mark.parametrize("n", [17, 31, 101, 149])
@@ -80,7 +82,7 @@ def test_large_prime_lengths_use_bluestein_correctly(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n,)) + 1j * rng.standard_normal((n,))
     mat = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    assert rel_err(fft1d(x), mat @ x) < 1e-9
+    assert rel_err(dft2(x[:, None])[:, 0], mat @ x) < 1e-9
 
 
 @pytest.mark.parametrize("size", [(5, 7), (8, 8), (12, 224), (64, 64)])
@@ -113,6 +115,58 @@ def test_single_precision_path_is_single_precision():
     out = dft2(x)
     assert out.dtype == np.complex64
     assert rel_err(np.abs(out), np.abs(naive_dft2(x))) < 1e-5
+
+
+# The spectrum stage's means and variances reduce over dft2's output in its
+# memory order, so a layout change changes their float32 bits.  Pin the
+# strides: the row axis (last but one) is the contiguous one, whatever the
+# input's layout or dtype.
+LAYOUT_SHAPES = [(224, 224), (64, 64), (7, 12), (67, 67), (134, 134), (1, 5)]
+
+
+def _pinned_strides(z):
+    h, w = z.shape[-2:]
+    return z.strides[-2:] == (z.itemsize, h * z.itemsize)
+
+
+@pytest.mark.parametrize("hw", LAYOUT_SHAPES)
+def test_layout_of_channel_last_view_matches_contiguous_copy(hw):
+    x = np.random.default_rng(hw[0]).standard_normal((2,) + hw + (3,)).astype(np.float32)
+    view = x.transpose(0, 3, 1, 2)
+    got, want = dft2(view), dft2(np.ascontiguousarray(view))
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides and _pinned_strides(got)
+
+
+@pytest.mark.parametrize("hw", LAYOUT_SHAPES)
+def test_real_input_matches_its_complex_cast(hw):
+    x = np.random.default_rng(hw[1]).standard_normal((2,) + hw).astype(np.float32)
+    got, want = dft2(x), dft2(x.astype(np.complex64))
+    assert got.dtype == want.dtype == np.complex64
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides and _pinned_strides(got)
+
+
+@pytest.mark.parametrize("hw", LAYOUT_SHAPES)
+def test_round_trip_keeps_layout(hw):
+    x = np.random.default_rng(sum(hw)).standard_normal((3,) + hw)
+    z = dft2(x)
+    back = idft2(z)
+    assert back.strides == z.strides and _pinned_strides(back)
+    assert rel_err(back.real, x) < 1e-9
+
+
+def test_peak_memory_is_two_work_planes():
+    x = np.random.default_rng(1).standard_normal((4, 8, 224, 224)).astype(np.float32)
+    plane = x.size * np.dtype(np.complex64).itemsize
+    tracemalloc.start()
+    try:
+        z = dft2(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.dtype == np.complex64
+    assert peak <= 2.25 * plane, peak / plane
 
 
 def test_zero_sized_input_raises():

@@ -192,6 +192,14 @@ class TestCacheMemory:
             assert a.ndim < 2 or a.shape[-1] != 9 * cfg.channels, a.shape
         assert sum(b.nbytes for b in bases.values()) <= 40e6
 
+    def test_fq1_input_is_a_view_of_the_spectrum_output(self):
+        cfg = ModelConfig(channels=4, n_units=1, input_size=16, head_hidden=8)
+        x = np.random.default_rng(31).standard_normal((2, 16, 16, 1))
+        _, cache = FractalCNN(cfg).forward(x)
+        fq1_input, shat = cache["fq1"][0], cache["spectrum"][2]
+        assert fq1_input.shape == (2, 16, 16, 4)
+        assert np.shares_memory(fq1_input, shat)
+
 
 class TestGradients:
     @pytest.mark.parametrize("n_units", [1, 2])

@@ -245,6 +245,7 @@ class TestLeakyRelu:
     def test_definition(self):
         assert leaky_relu(np.array([1.0]), 0.2)[0] == 1.0
         assert leaky_relu(np.array([-2.0]), 0.2)[0] == pytest.approx(-0.4)
+        assert leaky_relu(np.float32(-2.0), 0.5) == np.float32(-1.0)  # 0-d input
 
     def test_gradient_away_from_zero(self):
         rng = np.random.default_rng(9)
@@ -273,6 +274,10 @@ class TestLeakyRelu:
             assert got.dtype == dtype
             assert np.isnan(got[-1])
             assert got[:-1].tobytes() == want[:-1].tobytes()
+            assert got.strides == want.strides
+            # a strided view keeps its own layout, as np.where's output does
+            view = x[:-7].reshape(40, 25).T
+            assert leaky_relu(view, slope).strides == np.where(view >= 0, view, view).strides
 
 
 class TestInstanceNorm:
@@ -301,6 +306,7 @@ class TestInstanceNorm:
         for got, want in ((y, want_xhat * gain + bias), (xhat, want_xhat), (inv, want_inv)):
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
 
     def test_degenerate_spatial_map_raises(self):
         with pytest.raises(ParameterError):

@@ -1,0 +1,152 @@
+"""Bit-exactness fingerprint: one SHA-256 line for each checked fsf output.
+
+Each line is ``<name> <sha256>``.  The outputs are the detector's logits,
+features and gradients for five model configurations in float32 and
+float64, a 2-epoch 64 px training history with its checkpoint bytes, and a
+small corpus with its ``features_export`` and ``average_spectrum_report``
+files.  Two commits compute the same floats exactly when their lines match:
+
+    PYTHONPATH=src python3 tools/fingerprint.py > before.txt   # commit A
+    git checkout B
+    PYTHONPATH=src python3 tools/fingerprint.py > after.txt
+    diff before.txt after.txt
+
+BLAS may split a GEMM's sums differently for another thread count, so
+compare runs made under the same ``OPENBLAS_NUM_THREADS``; the first line
+records it.  ``--smoke`` runs every section at toy sizes in a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from fsf.checkpoint import save_checkpoint
+from fsf.figures import average_spectrum_report, features_export
+from fsf.fileio import read_manifest
+from fsf.forensics import AugmentPolicy
+from fsf.model import FractalCNN, ModelConfig, bce_with_logits
+from fsf.simulate import CorpusSpec, PipelineConfig, build_corpus
+from fsf.training import TrainConfig, train
+
+# (name, batch, ModelConfig fields); each runs in float32 and float64.
+MODELS = [
+    ("64px-b32", 32, dict(channels=32, n_units=2, input_size=64)),
+    ("64px-b4", 4, dict(channels=32, n_units=2, input_size=64)),
+    ("224px-b2", 2, dict(channels=32, n_units=2, input_size=224)),
+    ("32px-n1", 4, dict(channels=16, n_units=1, input_size=32)),
+    ("64px-n0", 4, dict(channels=32, n_units=0, input_size=64)),
+]
+SMOKE_MODELS = [
+    ("16px-b2", 2, dict(channels=4, n_units=2, input_size=16, head_hidden=8)),
+    ("12px-n0", 3, dict(channels=4, n_units=0, input_size=12, head_hidden=8)),
+]
+
+PIPELINES = [
+    PipelineConfig("tconv_conv", 2, 301, 16, name="tconv_d2", kernel_scope="image"),
+    PipelineConfig("nearest", 2, 302, 16, name="near_d2"),
+    PipelineConfig("zero_insert", 2, 303, 16, name="zero_d2"),
+]
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else str(part).encode())
+    return h.hexdigest()
+
+
+def _tree_digest(root) -> str:
+    h = hashlib.sha256()
+    for dirpath, dirs, files in os.walk(root):
+        dirs.sort()
+        for name in sorted(files):
+            path = os.path.join(dirpath, name)
+            h.update(os.path.relpath(path, root).encode())
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
+def model_lines(models):
+    """Logits, features and every gradient of a seeded forward/backward pass."""
+    for name, batch, fields in models:
+        for dtype in ("float32", "float64"):
+            cfg = ModelConfig(dtype=dtype, **fields)
+            model = FractalCNN(cfg, seed=17)
+            rng = np.random.default_rng(23)
+            size = cfg.input_size
+            x = (0.2 * rng.standard_normal((batch, size, size, 1))).astype(dtype)
+            labels = (np.arange(batch) % 2).astype(dtype)
+            logits, cache = model.forward(x)
+            _, dlogits = bce_with_logits(logits, labels)
+            grads = model.backward(cache, dlogits)
+            tag = f"model/{name}/{dtype}"
+            yield f"{tag}/logits", _digest(logits.tobytes())
+            yield f"{tag}/features", _digest(model.features(x).tobytes())
+            yield f"{tag}/grads", _digest(*(k.encode() + grads[k].tobytes() for k in sorted(grads)))
+
+
+def train_lines(work, size, per_class, model_fields):
+    """History and checkpoint bytes of a 2-epoch run with augmentation on."""
+    pipe = PipelineConfig("tconv_conv", 2, 301, size // 4, name="tconv_d2", kernel_scope="image")
+    spec = CorpusSpec(size=size, seed=41, pipelines=[pipe],
+                      n_train_real=per_class, n_train_fake=per_class, sensor_noise=0.02)
+    manifest = build_corpus(spec, os.path.join(work, "train_corpus"))["train"]
+    train_cfg = TrainConfig(seed=5, batch_size=8, max_epochs=2, patience=2,
+                            val_fraction=0.2, augment=AugmentPolicy(crop=size))
+    ckpt, history = train(manifest, ModelConfig(input_size=size, **model_fields), train_cfg)
+    yield "train/history", _digest(*(repr(vars(h)) for h in history))
+    path = os.path.join(work, "model.ckpt")
+    save_checkpoint(path, ckpt)
+    with open(path, "rb") as fh:
+        yield "train/checkpoint", _digest(fh.read())
+
+
+def corpus_lines(work, per_class):
+    """Corpus files, the feature table and the average-spectrum report."""
+    where = os.path.join(work, "corpus")
+    spec = CorpusSpec(size=64, seed=43, pipelines=PIPELINES,
+                      n_test_real=per_class, n_test_fake=per_class)
+    build_corpus(spec, where)
+    yield "corpus/tree", _tree_digest(where)
+    manifest = read_manifest(os.path.join(where, "manifest_test.csv"))
+    features = os.path.join(work, "features.csv")
+    features_export(manifest, features, levels=2)
+    with open(features, "rb") as fh:
+        yield "corpus/features_export", _digest(fh.read())
+    average_spectrum_report(manifest, os.path.join(work, "average"))
+    yield "corpus/average_spectrum_report", _tree_digest(os.path.join(work, "average"))
+
+
+def fingerprint(smoke: bool = False):
+    """Yield (name, sha256) for every checked output."""
+    with tempfile.TemporaryDirectory() as work:
+        if smoke:
+            yield from model_lines(SMOKE_MODELS)
+            yield from train_lines(work, 16, 6, dict(channels=4, n_units=1, head_hidden=8))
+            yield from corpus_lines(work, 2)
+        else:
+            yield from model_lines(MODELS)
+            yield from train_lines(work, 64, 20, dict(channels=32, n_units=2))
+            yield from corpus_lines(work, 10)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true", help="toy sizes, a few seconds")
+    args = parser.parse_args(argv)
+    print(f"# OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '')} "
+          f"numpy={np.__version__}")
+    for name, digest in fingerprint(args.smoke):
+        print(name, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
