@@ -12,11 +12,10 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .fft import dft2, dft2_magnitude, dft2_magnitude_backward, idft2
+from .fft import dft2, idft2
 from .forensics import (
     AugmentPolicy,
     DistortionConfig,
-    augment,
     center_crop_pad,
     downsample,
     gaussian_blur,
@@ -36,7 +35,6 @@ from .simulate import (
     upsample_zero,
 )
 from .spectral import (
-    FractalPyramid,
     average_spectrum,
     fractal_pyramid,
     quadrant_average,
@@ -57,7 +55,6 @@ __all__ = [
     "DistortionConfig",
     "FormatError",
     "FractalCNN",
-    "FractalPyramid",
     "FsfError",
     "ModelCheckpoint",
     "ModelConfig",
@@ -67,13 +64,10 @@ __all__ = [
     "TrainConfig",
     "ablate",
     "auc_score",
-    "augment",
     "average_spectrum",
     "build_corpus",
     "center_crop_pad",
     "dft2",
-    "dft2_magnitude",
-    "dft2_magnitude_backward",
     "downsample",
     "embed_spectral_watermark",
     "evaluate",

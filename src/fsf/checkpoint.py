@@ -41,6 +41,11 @@ class ModelCheckpoint:
     params: dict
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def residual_kernel(self) -> int:
+        """Median window of the noise residual the model was trained on (7 if unrecorded)."""
+        return self.metadata.get("residual_kernel", 7)
+
     def build_model(self) -> FractalCNN:
         model = FractalCNN(self.config)
         model.load_params({k: np.asarray(v) for k, v in self.params.items()})
@@ -98,6 +103,11 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise FormatError(f"{path}: header must be an object with exactly config and metadata")
     config = build(ModelConfig, header["config"], f"{path}: config", FormatError)
     metadata = check_type(header["metadata"], dict, f"{path}: metadata", FormatError)
+    kernel = metadata.get("residual_kernel", 7)
+    if type(kernel) is not int or kernel < 1 or kernel % 2 == 0:
+        raise FormatError(
+            f"{path}: metadata residual_kernel must be an odd int >= 1, got {kernel!r:.60}"
+        )
     params = {}
     try:
         (n_params,) = struct.unpack_from("<I", body, pos)

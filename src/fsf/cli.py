@@ -40,11 +40,11 @@ from .errors import (
     check_type,
 )
 from .figures import average_spectrum_report, features_export, formation_grid
-from .fileio import read_manifest, write_table
+from .fileio import format_table, read_manifest, write_table
 from .forensics import AugmentPolicy, DistortionConfig
 from .model import ModelConfig
 from .simulate import CorpusSpec, PipelineConfig, build_corpus
-from .training import EpochStats, TrainConfig, ablate, ablation_table, evaluate, train
+from .training import EpochStats, TrainConfig, ablate, accuracy_table, evaluate, train
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +256,10 @@ def cmd_eval(args) -> int:
     ckpt_path = args.checkpoint or os.path.join(cfg.out_dir, "checkpoint.ckpt")
     checkpoint = load_checkpoint(ckpt_path)
     results = [evaluate(checkpoint, manifest, d) for d in cfg.distortions]
-
-    pipelines = sorted({p for r in results for p in r.per_pipeline})
-    header = ["pipeline"] + [r.distortion for r in results]
-    rows = [
-        [pipe] + [f"{r.per_pipeline[pipe]:.4f}" for r in results] for pipe in pipelines
-    ]
-    rows.append(["overall"] + [f"{r.overall:.4f}" for r in results])
+    header, rows = accuracy_table([(r.distortion, r) for r in results])
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_table(os.path.join(cfg.out_dir, "eval_grid.csv"), header, rows)
     write_run_meta(cfg.out_dir, args, cfg.seed, cfg.digest)
-    from .fileio import format_table
-
     print(format_table(header, rows), end="")
     return 0
 
@@ -279,14 +271,14 @@ def cmd_ablate(args) -> int:
     results, checkpoints = ablate(
         train_manifest, test_manifest, cfg.model, cfg.train, n_list=cfg.ablate_n
     )
-    header, rows = ablation_table(results)
+    header, rows = accuracy_table(
+        [("N=0*" if n == 0 else f"N={n}", results[n]) for n in sorted(results)]
+    )
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_table(os.path.join(cfg.out_dir, "ablation.csv"), header, rows)
     for n, ckpt in checkpoints.items():
         save_checkpoint(os.path.join(cfg.out_dir, f"checkpoint_n{n}.ckpt"), ckpt)
     write_run_meta(cfg.out_dir, args, cfg.train.seed, cfg.digest)
-    from .fileio import format_table
-
     print(format_table(header, rows), end="")
     return 0
 

@@ -188,23 +188,6 @@ def idft2(spectrum: np.ndarray) -> np.ndarray:
     return _dft2(spectrum, inverse=True)
 
 
-def dft2_magnitude(plane: np.ndarray) -> np.ndarray:
-    """Magnitude spectrum |dft2(plane)| with DC at index [0, 0]."""
-    return np.abs(dft2(plane))
-
-
-def dft2_magnitude_backward(
-    plane: np.ndarray,
-    upstream: np.ndarray,
-    eps_mag: float = 1e-12,
-) -> np.ndarray:
-    """Gradient of ``sum(upstream * dft2_magnitude(plane))`` w.r.t. ``plane``."""
-    plane = np.asarray(plane)
-    z = dft2(plane)
-    grad = magnitude_backward(z, np.abs(z), np.asarray(upstream), eps_mag)
-    return np.ascontiguousarray(grad, dtype=plane.dtype)
-
-
 def magnitude_backward(
     spectrum: np.ndarray,
     magnitude: np.ndarray,

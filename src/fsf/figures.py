@@ -15,7 +15,7 @@ import numpy as np
 from .checkpoint import ModelCheckpoint
 from .errors import DataError
 from .fileio import Manifest, read_image, write_pgm, write_table
-from .forensics import center_crop_pad, noise_residual
+from .forensics import noise_residual
 from .parallel import parallel_map
 from .simulate import (
     UPSAMPLE_KINDS,
@@ -31,6 +31,7 @@ from .spectral import (
     self_similarity_features,
     spectrum_of,
 )
+from .training import detector_input, read_detector_image
 
 
 def formation_grid(out_dir, seed: int, base_size: int = 28, stages: int = 3) -> list:
@@ -41,23 +42,23 @@ def formation_grid(out_dir, seed: int, base_size: int = 28, stages: int = 3) -> 
     glyph replicates with every 2x stage.  Returns the caption rows
     (file, pipeline, stage, quadrant_correlation).
     """
+    pipes = [PipelineConfig(kind, stages, seed, base_size) for kind in UPSAMPLE_KINDS]
     os.makedirs(out_dir, exist_ok=True)
     base = synth_real(seed, base_size)
     glyph = letter_a_glyph(base_size, base_size // 2 + 1)
     marked = embed_spectral_watermark(base, glyph)
 
     rows = []
-    for kind in UPSAMPLE_KINDS:
-        pipe = PipelineConfig(kind, stages, seed, base_size)
+    for pipe in pipes:
         image = marked
         for stage in range(stages + 1):
             if stage > 0:
                 image = pipe.upsample(image, stage - 1)
             spectrum = spectrum_of(image)
             corr = quadrant_correlation(spectrum) if stage > 0 else float("nan")
-            filename = f"{kind}_stage{stage}.pgm"
+            filename = f"{pipe.kind}_stage{stage}.pgm"
             write_pgm(os.path.join(out_dir, filename), export_view(spectrum), bits=16)
-            rows.append([filename, kind, stage, "" if stage == 0 else f"{corr:.4f}"])
+            rows.append([filename, pipe.kind, stage, "" if stage == 0 else f"{corr:.4f}"])
     write_table(os.path.join(out_dir, "captions.csv"),
                 ["file", "pipeline", "stage", "quadrant_correlation"], rows)
     return rows
@@ -120,15 +121,15 @@ def features_export(
         writer.writerow(header)
         count = 0
         for entry in manifest.entries:
-            image = read_image(manifest.resolve(entry))
+            path = manifest.resolve(entry)
+            image = read_image(path) if model is None else read_detector_image(path)
             target = noise_residual(image) if residual else image
             stats = self_similarity_features(spectrum_of(target), levels, measure)
             row = [entry.path, entry.label, entry.pipeline]
             row += [f"{s:.8g}" for s in stats]
             if model is not None:
-                prepped = noise_residual(
-                    center_crop_pad(image, checkpoint.config.input_size),
-                    checkpoint.metadata.get("residual_kernel", 7),
+                prepped = detector_input(
+                    image, checkpoint.config.input_size, checkpoint.residual_kernel
                 )
                 vec = model.features(prepped[None, :, :, None])[0]
                 row += [f"{v:.8g}" for v in vec]

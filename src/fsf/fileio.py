@@ -1,8 +1,8 @@
 """Portable pixmap/graymap I/O, corpus manifests, and result tables.
 
-Images are exchanged as binary netpbm files: P5 graymaps for single-channel
-data, P6 pixmaps for three channels.  Sixteen-bit samples are big-endian per
-the netpbm convention.  Manifests are UTF-8 CSV with the header
+Images are binary netpbm files.  The toolkit writes P5 graymaps and reads
+P5 graymaps and P6 (three-channel) pixmaps.  Sixteen-bit samples are
+big-endian per the netpbm convention.  Manifests are UTF-8 CSV with the header
 ``path,label,pipeline,seed``; paths are stored relative to the manifest file.
 """
 
@@ -28,27 +28,14 @@ def write_pgm(path, image: np.ndarray, bits: int = 8) -> None:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise FormatError(f"P5 wants an H x W array, got shape {image.shape}")
-    _write_netpbm(path, b"P5", image[None], bits)
-
-
-def write_ppm(path, image: np.ndarray, bits: int = 8) -> None:
-    """Write a 3 x H x W array with values in [0, 1] as a binary P6 pixmap."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise FormatError(f"P6 wants a 3 x H x W array, got shape {image.shape}")
-    _write_netpbm(path, b"P6", image, bits)
-
-
-def _write_netpbm(path, magic: bytes, planes: np.ndarray, bits: int) -> None:
     if bits not in (8, 16):
         raise FormatError(f"sample depth must be 8 or 16 bits, got {bits}")
     maxval = (1 << bits) - 1
-    quant = np.clip(np.rint(planes * maxval), 0, maxval)
-    interleaved = np.ascontiguousarray(quant.transpose(1, 2, 0))
-    payload = interleaved.astype(">u2" if bits == 16 else "u1").tobytes()
-    h, w = planes.shape[1:]
+    quant = np.clip(np.rint(image * maxval), 0, maxval)
+    payload = quant.astype(">u2" if bits == 16 else "u1").tobytes()
+    h, w = image.shape
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n%d\n" % (w, h, maxval))
+        fh.write(b"P5\n%d %d\n%d\n" % (w, h, maxval))
         fh.write(payload)
 
 
@@ -124,19 +111,6 @@ class Manifest:
 
     def resolve(self, entry: ManifestEntry) -> str:
         return os.path.join(self.root, entry.path)
-
-    def counts(self) -> dict:
-        out: dict = {}
-        for e in self.entries:
-            out[e.label] = out.get(e.label, 0) + 1
-        return out
-
-    def pipelines(self):
-        seen = []
-        for e in self.entries:
-            if e.label == "generated" and e.pipeline not in seen:
-                seen.append(e.pipeline)
-        return seen
 
     def validate(self) -> None:
         paths = [e.path for e in self.entries]

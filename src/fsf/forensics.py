@@ -249,47 +249,30 @@ class AugmentPolicy:
             raise ParameterError(f"crop must be >= 1, got {self.crop}")
 
 
-@dataclass
-class AugmentPlan:
-    """Concrete draw of the augmentation gates for one image."""
-
-    jpeg_quality: int | None = None
-    blur_sigma: float | None = None
-    downsample: bool = False
-
-
-def draw_augment_plan(policy: AugmentPolicy | None, rng: np.random.Generator) -> AugmentPlan:
+def draw_augment_plan(policy: AugmentPolicy | None, rng: np.random.Generator) -> tuple:
     """Sample the three independent gates (fixed draw order: jpeg, blur, down).
 
-    Without a policy the plan is empty and nothing is drawn from ``rng``.
+    Returns the distortions whose gates fired, in that order.  Without a
+    policy the plan is empty and nothing is drawn from ``rng``.
     """
-    plan = AugmentPlan()
     if policy is None:
-        return plan
+        return ()
     gates = rng.random(3)
+    plan = []
     if gates[0] < policy.p_jpeg:
         lo, hi = policy.jpeg_quality_range
-        plan.jpeg_quality = int(rng.integers(lo, hi + 1))
+        plan.append(DistortionConfig("jpeg", jpeg_quality=int(rng.integers(lo, hi + 1))))
     if gates[1] < policy.p_blur:
         lo, hi = policy.blur_sigma_range
-        plan.blur_sigma = float(lo + (hi - lo) * rng.random())
+        plan.append(DistortionConfig("gaussian_blur", blur_sigma=float(lo + (hi - lo) * rng.random())))
     if gates[2] < policy.p_down:
-        plan.downsample = True
-    return plan
+        plan.append(DistortionConfig("downsample"))
+    return tuple(plan)
 
 
-def apply_augment_plan(image: np.ndarray, plan: AugmentPlan, size: int) -> np.ndarray:
-    """Apply the plan's distortions, then center-crop/pad to ``size``."""
+def apply_augment_plan(image: np.ndarray, plan: tuple, size: int) -> np.ndarray:
+    """Apply the plan's distortions in order, then center-crop/pad to ``size``."""
     out = np.asarray(image, dtype=np.float64)
-    if plan.jpeg_quality is not None:
-        out = jpeg_distort(out, plan.jpeg_quality)
-    if plan.blur_sigma is not None:
-        out = gaussian_blur(out, plan.blur_sigma)
-    if plan.downsample:
-        out = downsample(out)
+    for distortion in plan:
+        out = distortion.apply(out)
     return center_crop_pad(out, size)
-
-
-def augment(image: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
-    """Randomly distort then center-crop/pad one image (deterministic per rng state)."""
-    return apply_augment_plan(image, draw_augment_plan(policy, rng), policy.crop)

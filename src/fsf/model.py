@@ -141,9 +141,6 @@ class FractalCNN:
     def param_names(self):
         return sorted(self.params)
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def copy_params(self) -> dict:
         return {k: v.copy() for k, v in self.params.items()}
 

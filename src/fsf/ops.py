@@ -1,14 +1,11 @@
 """Deterministic numeric kernels: convolution, filtering, activations, norms.
 
-Two styles of entry point live here:
-
-* channel-first functions (``conv2d``, ``instance_norm``, ...) that follow the
-  single-image C x H x W contracts used by the simulator and feature code;
-* channel-last ``*_nhwc`` cores operating on batches (B, H, W, C), which the
-  detector uses directly; in that layout each im2col row (the 3x3 window of
-  one output pixel, 9*C values) is nine contiguous channel runs.  The
-  convolution copies those rows chunk by chunk into a reused workspace
-  instead of building the whole matrix.
+The detector's operations work on channel-last batches (B, H, W, C).  In
+that layout each im2col row (the 3x3 window of one output pixel, 9*C
+values) is nine contiguous channel runs; the convolution copies those rows
+chunk by chunk into a reused workspace instead of building the whole
+matrix.  The simulator's ``conv2d`` and ``transposed_conv2d`` take one
+C x H x W image.
 
 All backward functions return analytic gradients; there is no autodiff graph.
 """
@@ -135,27 +132,6 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias=None) -> np.ndarray:
     return np.ascontiguousarray(out[0].transpose(2, 0, 1))
 
 
-def conv2d_backward(x: np.ndarray, kernels: np.ndarray, upstream: np.ndarray):
-    """Gradients of the conv2d contract: (grad_input, grad_kernels, grad_bias)."""
-    x = np.asarray(x)
-    kernels = np.asarray(kernels)
-    upstream = np.asarray(upstream)
-    if upstream.shape != (kernels.shape[0],) + x.shape[1:]:
-        raise DimensionError(
-            f"upstream shape {upstream.shape} does not match output "
-            f"({kernels.shape[0]},{x.shape[1]},{x.shape[2]})"
-        )
-    xh = np.ascontiguousarray(x.transpose(1, 2, 0))[None]
-    wh = np.ascontiguousarray(kernels.transpose(2, 3, 1, 0))
-    uh = np.ascontiguousarray(upstream.transpose(1, 2, 0))[None]
-    gx, gw, gb = conv3x3_nhwc_backward(xh, wh, uh)
-    return (
-        np.ascontiguousarray(gx[0].transpose(2, 0, 1)),
-        np.ascontiguousarray(gw.transpose(3, 2, 0, 1)),
-        gb,
-    )
-
-
 # ---------------------------------------------------------------------------
 # 4x4 stride-2 transposed convolution (simulator use; no gradient needed)
 # ---------------------------------------------------------------------------
@@ -269,26 +245,6 @@ def instance_norm_nhwc_backward(cache, upstream: np.ndarray):
     mean_dx = (dxhat * xhat).mean(axis=(1, 2), keepdims=True)
     grad_x = inv * (dxhat - mean_d - xhat * mean_dx)
     return grad_x, grad_gain, grad_bias
-
-
-def instance_norm(feature: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
-    """C x H x W instance normalization with per-channel affine parameters."""
-    feature = np.asarray(feature)
-    if feature.ndim != 3:
-        raise DimensionError(f"expected C x H x W input, got {feature.shape}")
-    xh = np.ascontiguousarray(feature.transpose(1, 2, 0))[None]
-    y, _ = instance_norm_nhwc(xh, np.asarray(gain), np.asarray(bias), eps)
-    return np.ascontiguousarray(y[0].transpose(2, 0, 1))
-
-
-def instance_norm_backward(feature, gain, bias, upstream, eps: float = 1e-5):
-    """Gradients of the instance_norm contract: (grad_x, grad_gain, grad_bias)."""
-    feature = np.asarray(feature)
-    xh = np.ascontiguousarray(feature.transpose(1, 2, 0))[None]
-    _, cache = instance_norm_nhwc(xh, np.asarray(gain), np.asarray(bias), eps)
-    uh = np.ascontiguousarray(np.asarray(upstream).transpose(1, 2, 0))[None]
-    gx, ggain, gbias = instance_norm_nhwc_backward(cache, uh)
-    return np.ascontiguousarray(gx[0].transpose(2, 0, 1)), ggain, gbias
 
 
 # ---------------------------------------------------------------------------

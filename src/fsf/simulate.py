@@ -70,13 +70,12 @@ def make_tconv_stage(rng: np.random.Generator, std: float = 0.1) -> TconvStage:
     )
 
 
-def upsample_tconv(image: np.ndarray, stage: TconvStage, nonlinearity: bool = True) -> np.ndarray:
+def upsample_tconv(image: np.ndarray, stage: TconvStage) -> np.ndarray:
     """One learned-generator-style 2x stage; deterministic for a fixed stage."""
     x = transposed_conv2d(np.asarray(image)[None], stage.tconv_kernel)
-    if nonlinearity:
-        x = conv2d(x, stage.conv1_kernel)
-        x = leaky_relu(x, stage.slope)
-        x = conv2d(x, stage.conv2_kernel)
+    x = conv2d(x, stage.conv1_kernel)
+    x = leaky_relu(x, stage.slope)
+    x = conv2d(x, stage.conv2_kernel)
     return x[0]
 
 
@@ -186,7 +185,6 @@ class PipelineConfig:
     depth: int
     seed: int
     base_size: int
-    nonlinearity: bool = True
     kernel_scope: str = "pipeline"
     name: str = ""
 
@@ -195,10 +193,12 @@ class PipelineConfig:
             raise ParameterError(f"unknown upsampling kind {self.kind!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if not 1 <= self.depth <= 11:  # 2 << 11 is generate_fake's 4096 cap; bounds the shift
+        if not 1 <= self.depth <= 11:  # 2 << 11 is the 4096 cap below; bounds the shift
             raise ParameterError(f"depth must be in 1..11, got {self.depth}")
         if self.base_size < 2:
             raise ParameterError(f"base_size must be >= 2, got {self.base_size}")
+        if self.final_size > 4096:
+            raise ParameterError(f"pipeline would produce a {self.final_size} pixel image; refusing")
         if self.kernel_scope not in ("pipeline", "image"):
             raise ParameterError(f"kernel_scope must be pipeline|image, got {self.kernel_scope}")
         if not self.name:
@@ -228,15 +228,11 @@ class PipelineConfig:
             return upsample_zero(image)
         if self.kind == "nearest":
             return upsample_nearest(image)
-        return upsample_tconv(image, self.stage(index, image_seed), self.nonlinearity)
+        return upsample_tconv(image, self.stage(index, image_seed))
 
 
 def generate_fake(seed: int, pipeline: PipelineConfig, spectral_exponent: float = 1.0) -> np.ndarray:
     """Base field at base_size, then ``depth`` upsampling stages, clamped to [0, 1]."""
-    if pipeline.final_size > 4096:
-        raise ParameterError(
-            f"pipeline would produce a {pipeline.final_size} pixel image; refusing"
-        )
     image = synth_real(seed, pipeline.base_size, spectral_exponent)
     for stage_idx in range(pipeline.depth):
         image = pipeline.upsample(image, stage_idx, image_seed=seed)

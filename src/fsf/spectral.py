@@ -9,12 +9,10 @@ that agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError
-from .fft import dft2_magnitude
+from .fft import dft2
 from .ops import elementwise_mul
 
 MEASURES = ("mean", "logmean")
@@ -22,7 +20,7 @@ MEASURES = ("mean", "logmean")
 
 def spectrum_of(image: np.ndarray) -> np.ndarray:
     """Per-channel magnitude spectrum of an (..., H, W) image, unshifted."""
-    return dft2_magnitude(image)
+    return np.abs(dft2(image))
 
 
 def quadrant_split(spectrum: np.ndarray):
@@ -79,33 +77,12 @@ def self_similarity(spectrum: np.ndarray, measure: str = "logmean") -> float:
     return float(np.mean(np.log1p(fused)))
 
 
-@dataclass
-class FractalPyramid:
+def fractal_pyramid(spectrum: np.ndarray, n_levels: int) -> list:
     """Recursive quadrant-average decomposition of a spectrum.
 
-    ``levels[0]`` is the input spectrum; each subsequent level is the
-    elementwise mean of the previous level's four quadrants, halving the
-    spatial extents.
+    Returns ``n_levels + 1`` levels: the input spectrum, then for each
+    halving the elementwise mean of the previous level's four quadrants.
     """
-
-    levels: list
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    def self_similarities(self, measure: str = "logmean") -> np.ndarray:
-        """Per-level scalar statistic S(0)..S(depth).
-
-        Every level, including the coarsest, is quadrant-split once more for
-        its statistic, so the base extents must be divisible by
-        2**(depth + 1).
-        """
-        return np.array([self_similarity(lv, measure) for lv in self.levels])
-
-
-def fractal_pyramid(spectrum: np.ndarray, n_levels: int) -> FractalPyramid:
-    """Build the recursive pyramid with ``n_levels`` halvings (n_levels + 1 levels)."""
     spectrum = np.asarray(spectrum)
     if n_levels < 0:
         raise ParameterError(f"n_levels must be >= 0, got {n_levels}")
@@ -122,14 +99,18 @@ def fractal_pyramid(spectrum: np.ndarray, n_levels: int) -> FractalPyramid:
     levels = [spectrum]
     for _ in range(n_levels):
         levels.append(quadrant_average(*quadrant_split(levels[-1])))
-    return FractalPyramid(levels)
+    return levels
 
 
 def self_similarity_features(
     spectrum: np.ndarray, n_levels: int, measure: str = "logmean"
 ) -> np.ndarray:
-    """Concatenated per-level self-similarity statistics S(0)..S(n_levels)."""
-    return fractal_pyramid(spectrum, n_levels).self_similarities(measure)
+    """Per-level self-similarity statistics S(0)..S(n_levels) of the pyramid.
+
+    Every level, including the coarsest, is quadrant-split once more for its
+    statistic, so the extents must be divisible by 2**(n_levels + 1).
+    """
+    return np.array([self_similarity(lv, measure) for lv in fractal_pyramid(spectrum, n_levels)])
 
 
 def average_spectrum(images, residual_fn=None) -> np.ndarray:

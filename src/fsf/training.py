@@ -81,17 +81,26 @@ class EpochStats:
 # Dataset plumbing
 # ---------------------------------------------------------------------------
 
+def read_detector_image(path) -> np.ndarray:
+    """``read_image`` for the detector, which takes H x W graymaps only."""
+    image = read_image(path)
+    if image.ndim != 2:
+        raise DataError(f"{path}: the detector takes H x W graymaps, got shape {image.shape}")
+    return image
+
+
 def _load_raw(manifest: Manifest):
     """Read every manifest image; label 1 = generated."""
     if len(manifest) == 0:
         raise DataError("manifest is empty")
-    images = parallel_map(lambda e: read_image(manifest.resolve(e)), manifest.entries)
+    images = parallel_map(lambda e: read_detector_image(manifest.resolve(e)), manifest.entries)
     labels = np.array([1.0 if e.label == "generated" else 0.0 for e in manifest.entries])
     return images, labels
 
 
-def _prepare(image, input_size, residual_kernel):
-    """Shared eval/val preprocessing: crop/pad then noise residual."""
+def detector_input(image, input_size: int, residual_kernel: int) -> np.ndarray:
+    """Evaluation, validation and feature-export preprocessing: crop/pad,
+    then the noise residual."""
     return noise_residual(center_crop_pad(image, input_size), residual_kernel)
 
 
@@ -118,7 +127,7 @@ def train(
 
     size = model_cfg.input_size
     kernel = train_cfg.residual_kernel
-    val_x = np.stack([_prepare(images[i], size, kernel) for i in val_idx])[..., None]
+    val_x = np.stack([detector_input(images[i], size, kernel) for i in val_idx])[..., None]
     val_y = labels[val_idx]
 
     model = FractalCNN(model_cfg, seed=train_cfg.seed)
@@ -222,11 +231,6 @@ class EvalResult:
     overall: float
     n_images: int
 
-    def rows(self):
-        rows = [[name, f"{acc:.4f}"] for name, acc in self.per_pipeline.items()]
-        rows.append(["overall", f"{self.overall:.4f}"])
-        return rows
-
 
 def evaluate(
     checkpoint: ModelCheckpoint,
@@ -246,14 +250,11 @@ def evaluate(
     distortion = distortion or DistortionConfig("none")
     model = checkpoint.build_model()
     size = checkpoint.config.input_size
-    kernel = checkpoint.metadata.get("residual_kernel", 7)
-
     entries = sorted(manifest.entries, key=lambda e: e.path)
 
     def prep(entry):
-        img = read_image(manifest.resolve(entry))
-        img = distortion.apply(img)
-        return _prepare(img, size, kernel)
+        img = distortion.apply(read_detector_image(manifest.resolve(entry)))
+        return detector_input(img, size, checkpoint.residual_kernel)
 
     prepped = parallel_map(prep, entries)
     x = np.stack(prepped)[..., None]
@@ -300,15 +301,19 @@ def ablate(
     return results, checkpoints
 
 
-def ablation_table(results: dict):
-    """Rows of pipeline x N accuracy, mirroring the unit-count sweep grid."""
-    n_values = sorted(results)
-    pipelines = sorted({p for r in results.values() for p in r.per_pipeline})
-    header = ["pipeline"] + [("N=0*" if n == 0 else f"N={n}") for n in n_values]
-    rows = []
-    for pipe in pipelines:
-        rows.append([pipe] + [f"{results[n].per_pipeline.get(pipe, float('nan')):.4f}" for n in n_values])
-    rows.append(["overall"] + [f"{results[n].overall:.4f}" for n in n_values])
+def accuracy_table(columns):
+    """Header and rows of pipeline x column accuracy, plus an overall row.
+
+    ``columns`` is a list of (column label, EvalResult) pairs, such as one
+    per distortion or one per unit count.
+    """
+    pipelines = sorted({p for _, r in columns for p in r.per_pipeline})
+    header = ["pipeline"] + [label for label, _ in columns]
+    rows = [
+        [pipe] + [f"{r.per_pipeline.get(pipe, float('nan')):.4f}" for _, r in columns]
+        for pipe in pipelines
+    ]
+    rows.append(["overall"] + [f"{r.overall:.4f}" for _, r in columns])
     return header, rows
 
 

@@ -12,9 +12,9 @@ import pytest
 
 from fsf.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from fsf.errors import FormatError
-from fsf.fft import dft2, dft2_magnitude
+from fsf.fft import dft2
 from fsf.figures import formation_grid
-from fsf.forensics import AugmentPolicy, DistortionConfig, draw_augment_plan, augment
+from fsf.forensics import AugmentPolicy, DistortionConfig, apply_augment_plan, draw_augment_plan
 from fsf.model import FractalCNN, ModelConfig
 from fsf.ops import conv2d, median_filter
 from fsf.simulate import (
@@ -105,38 +105,41 @@ def test_criterion_3_dft_oracle_and_parseval(capsys):
 
 def test_criterion_4_gradient_suite(capsys):
     from oracles import fd_gradient
+    from fsf.fft import magnitude_backward
     from fsf.ops import (
-        conv2d_backward,
+        conv3x3_nhwc,
+        conv3x3_nhwc_backward,
         elementwise_mul,
         elementwise_mul_backward,
-        instance_norm,
-        instance_norm_backward,
+        instance_norm_nhwc,
+        instance_norm_nhwc_backward,
         leaky_relu,
         leaky_relu_backward,
     )
-    from fsf.fft import dft2_magnitude_backward
-    from fsf.model import bce_with_logits
 
     rng = np.random.default_rng(4)
     failures = []
 
-    x = rng.standard_normal((2, 5, 5))
-    k = rng.standard_normal((2, 2, 3, 3))
-    up = rng.standard_normal((2, 5, 5))
-    gx, gk, _ = conv2d_backward(x, k, up)
-    fd = fd_gradient(lambda a: float(np.sum(up * conv2d(a, k))), x.copy())
+    def nhwc(a):  # one channel-first image -> the model's (1, H, W, C) batch
+        return np.ascontiguousarray(a.transpose(1, 2, 0)[None])
+
+    x = nhwc(rng.standard_normal((2, 5, 5)))
+    k = np.ascontiguousarray(rng.standard_normal((2, 2, 3, 3)).transpose(2, 3, 1, 0))
+    up = nhwc(rng.standard_normal((2, 5, 5)))
+    gx, gk, _ = conv3x3_nhwc_backward(x, k, up)
+    fd = fd_gradient(lambda a: float(np.sum(up * conv3x3_nhwc(a, k))), x.copy())
     if rel_err(gx, fd) > 1e-4:
-        failures.append("conv2d input grad")
-    fd = fd_gradient(lambda a: float(np.sum(up * conv2d(x, a))), k.copy())
+        failures.append("conv3x3_nhwc input grad")
+    fd = fd_gradient(lambda a: float(np.sum(up * conv3x3_nhwc(x, a))), k.copy())
     if rel_err(gk, fd) > 1e-4:
-        failures.append("conv2d kernel grad")
+        failures.append("conv3x3_nhwc kernel grad")
 
     g = rng.standard_normal(2)
     b = rng.standard_normal(2)
-    gi, _, _ = instance_norm_backward(x, g, b, up)
-    fd = fd_gradient(lambda a: float(np.sum(up * instance_norm(a, g, b))), x.copy())
+    gi, _, _ = instance_norm_nhwc_backward(instance_norm_nhwc(x, g, b)[1], up)
+    fd = fd_gradient(lambda a: float(np.sum(up * instance_norm_nhwc(a, g, b)[0])), x.copy())
     if rel_err(gi, fd) > 1e-4:
-        failures.append("instance_norm input grad")
+        failures.append("instance_norm_nhwc input grad")
 
     v = rng.standard_normal(64)
     v = v[np.abs(v) > 1e-3]
@@ -160,11 +163,12 @@ def test_criterion_4_gradient_suite(capsys):
 
     plane = rng.standard_normal((6, 6))
     us = rng.standard_normal((6, 6))
+    z = dft2(plane)
     if rel_err(
-        dft2_magnitude_backward(plane, us),
-        fd_gradient(lambda a: float(np.sum(us * dft2_magnitude(a))), plane.copy()),
+        magnitude_backward(z, np.abs(z), us),
+        fd_gradient(lambda a: float(np.sum(us * spectrum_of(a))), plane.copy()),
     ) > 1e-4:
-        failures.append("dft2_magnitude grad")
+        failures.append("magnitude grad")
 
     for n_units in (1, 2):
         model = jittered_model(toy_config(n_units), seed=40 + n_units)
@@ -316,16 +320,17 @@ def test_criterion_9_augment_gate_statistics(capsys):
     counts = np.zeros(3)
     n = 10_000
     for _ in range(n):
-        plan = draw_augment_plan(policy, rng)
-        counts += [plan.jpeg_quality is not None, plan.blur_sigma is not None, plan.downsample]
+        kinds = [d.kind for d in draw_augment_plan(policy, rng)]
+        counts += [k in kinds for k in ("jpeg", "gaussian_blur", "downsample")]
     rates = counts / n
     in_band = bool(np.all((rates >= 0.08) & (rates <= 0.12)))
     image = synth_real(90, 80)
     policy64 = AugmentPolicy(p_jpeg=0.5, p_blur=0.5, p_down=0.5, crop=64)
-    repro = np.array_equal(
-        augment(image, policy64, np.random.default_rng(77)),
-        augment(image, policy64, np.random.default_rng(77)),
-    )
+
+    def augment(seed):
+        return apply_augment_plan(image, draw_augment_plan(policy64, np.random.default_rng(seed)), 64)
+
+    repro = np.array_equal(augment(77), augment(77))
     report(
         capsys, 9, in_band and repro,
         f"gate rates over 10000 draws: jpeg {rates[0]:.3f}, blur {rates[1]:.3f}, "

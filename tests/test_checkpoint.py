@@ -108,9 +108,13 @@ class TestMalformedContent:
             lambda h: h["config"].update(dropout=0.5),
             lambda h: h["config"].update(channels="a"),
             lambda h: h.update(metadata=[1]),
+            # the residual window must be an odd int >= 1; true would be window 1
+            *[lambda h, k=k: h["metadata"].update(residual_kernel=k)
+              for k in ("x", 2.5, None, 4, -3, True)],
         ],
         ids=["no_config", "no_metadata", "extra_key", "unknown_config_key",
-             "config_type", "metadata_not_object"],
+             "config_type", "metadata_not_object", "kernel_str", "kernel_float",
+             "kernel_null", "kernel_even", "kernel_negative", "kernel_bool"],
     )
     def test_bad_header_rejected(self, tmp_path, edit):
         path = tmp_path / "m.ckpt"

@@ -169,9 +169,9 @@ class TestSimulateCommand:
         path, _ = experiment_config(tmp_path)
         main(["simulate", "--config", str(path)])
         train = read_manifest(tmp_path / "corpus" / "manifest_train.csv")
-        assert train.pipelines() == ["zero"]
+        assert {e.pipeline for e in train.entries if e.label == "generated"} == {"zero"}
         test = read_manifest(tmp_path / "corpus" / "manifest_test.csv")
-        assert set(test.pipelines()) == {"zero", "near"}
+        assert {e.pipeline for e in test.entries if e.label == "generated"} == {"zero", "near"}
 
 
 class TestDemoFractal:
@@ -202,6 +202,11 @@ class TestDemoFractal:
         main(["demo-fractal", "--out", str(a), "--seed", "5", "--base-size", "16", "--stages", "1"])
         main(["demo-fractal", "--out", str(b), "--seed", "5", "--base-size", "16", "--stages", "1"])
         assert tree_hash(a) == tree_hash(b)
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--base-size", "-1"]])
+    def test_bad_arguments_return_2(self, tmp_path, capsys, flags):
+        assert main(["demo-fractal", "--out", str(tmp_path / "grid")] + flags) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -282,3 +287,48 @@ class TestExitCodes:
         path, _ = experiment_config(tmp_path)
         main(["simulate", "--config", str(path)])
         assert main(["eval", "--config", str(path)]) == 3
+
+    def test_bad_residual_kernel_in_checkpoint_returns_3(self, workspace, tmp_path, capsys):
+        from fsf.checkpoint import load_checkpoint, save_checkpoint
+
+        ws, path = workspace
+        ckpt = load_checkpoint(ws / "run" / "checkpoint.ckpt")
+        ckpt.metadata["residual_kernel"] = 4
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, ckpt)
+        assert main(["eval", "--config", str(path), "--checkpoint", str(bad)]) == 3
+        assert "residual_kernel" in capsys.readouterr().err
+
+
+@pytest.fixture
+def p6_corpus(tmp_path):
+    """A corpus whose first real train and test images are three-channel P6 files."""
+    path, _ = experiment_config(tmp_path)
+    assert main(["simulate", "--config", str(path)]) == 0
+    for split in ("train", "test"):
+        image = tmp_path / "corpus" / "images" / f"{split}_real_00000.pgm"
+        image.write_bytes(b"P6\n32 32\n255\n" + bytes(32 * 32 * 3))
+    return tmp_path, path
+
+
+class TestMultiChannelImages:
+    """The detector takes H x W graymaps; the model-free commands also read P6."""
+
+    def test_train_returns_3(self, p6_corpus, capsys):
+        _, path = p6_corpus
+        assert main(["train", "--config", str(path)]) == 3
+        assert "train_real_00000.pgm" in capsys.readouterr().err
+
+    def test_eval_returns_3(self, p6_corpus, workspace, capsys):
+        _, path = p6_corpus
+        ckpt = workspace[0] / "run" / "checkpoint.ckpt"
+        assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt)]) == 3
+        assert "test_real_00000.pgm" in capsys.readouterr().err
+
+    def test_features_with_checkpoint_returns_3_and_without_reads_p6(self, p6_corpus, workspace):
+        tmp_path, _ = p6_corpus
+        args = ["features", "--manifest", str(tmp_path / "corpus" / "manifest_test.csv"),
+                "--out", str(tmp_path / "features.csv")]
+        ckpt = workspace[0] / "run" / "checkpoint.ckpt"
+        assert main(args + ["--checkpoint", str(ckpt)]) == 3
+        assert main(args) == 0

@@ -5,7 +5,7 @@ from fsf.errors import ParameterError
 from fsf.forensics import (
     AugmentPolicy,
     DistortionConfig,
-    augment,
+    apply_augment_plan,
     center_crop_pad,
     downsample,
     draw_augment_plan,
@@ -163,6 +163,11 @@ class TestCenterCropPad:
         assert out.shape == (224, 224)
 
 
+def augment(image, policy, rng):
+    """One training draw: sample the gates, distort, then crop."""
+    return apply_augment_plan(image, draw_augment_plan(policy, rng), policy.crop)
+
+
 class TestAugment:
     def test_all_gates_closed_is_crop_only(self):
         rng = np.random.default_rng(12)
@@ -177,8 +182,8 @@ class TestAugment:
         counts = np.zeros(3)
         n = 10_000
         for _ in range(n):
-            plan = draw_augment_plan(policy, rng)
-            counts += [plan.jpeg_quality is not None, plan.blur_sigma is not None, plan.downsample]
+            kinds = [d.kind for d in draw_augment_plan(policy, rng)]
+            counts += [k in kinds for k in ("jpeg", "gaussian_blur", "downsample")]
         rates = counts / n
         assert np.all(rates >= 0.08) and np.all(rates <= 0.12)
 
@@ -186,10 +191,21 @@ class TestAugment:
         policy = AugmentPolicy(p_jpeg=1.0, p_blur=1.0, p_down=1.0)
         rng = np.random.default_rng(14)
         for _ in range(200):
-            plan = draw_augment_plan(policy, rng)
-            assert 70 <= plan.jpeg_quality <= 100
-            assert 0.0 <= plan.blur_sigma < 1.0
-            assert plan.downsample
+            jpeg, blur, down = draw_augment_plan(policy, rng)
+            assert jpeg.kind == "jpeg" and 70 <= jpeg.jpeg_quality <= 100
+            assert blur.kind == "gaussian_blur" and 0.0 <= blur.blur_sigma < 1.0
+            assert down.kind == "downsample"
+
+    def test_plan_applies_in_draw_order(self):
+        rng = np.random.default_rng(16)
+        img = rng.random((80, 80))
+        policy = AugmentPolicy(p_jpeg=1.0, p_blur=1.0, p_down=1.0, crop=32)
+        plan = draw_augment_plan(policy, np.random.default_rng(3))
+        jpeg, blur, _ = plan
+        expected = center_crop_pad(
+            downsample(gaussian_blur(jpeg_distort(img, jpeg.jpeg_quality), blur.blur_sigma)), 32
+        )
+        assert np.array_equal(apply_augment_plan(img, plan, 32), expected)
 
     def test_reproducible_per_seed(self):
         rng = np.random.default_rng(15)

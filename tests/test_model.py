@@ -101,7 +101,8 @@ class TestForward:
         model = FractalCNN(toy_config(0))
         assert not [n for n in model.param_names() if n.startswith("u")]
         deeper = FractalCNN(toy_config(2))
-        assert deeper.param_count() > model.param_count()
+        n_params = [sum(p.size for p in m.params.values()) for m in (model, deeper)]
+        assert n_params[1] > n_params[0]
 
     def test_zero_input_is_finite(self):
         model = FractalCNN(toy_config(2), seed=3)

@@ -5,14 +5,12 @@ from fsf.errors import DimensionError, ParameterError
 from fsf import ops
 from fsf.ops import (
     conv2d,
-    conv2d_backward,
     conv3x3_nhwc,
     conv3x3_nhwc_backward,
     elementwise_mul,
     elementwise_mul_backward,
-    instance_norm,
-    instance_norm_backward,
     instance_norm_nhwc,
+    instance_norm_nhwc_backward,
     leaky_relu,
     leaky_relu_backward,
     median_filter,
@@ -28,6 +26,16 @@ from oracles import (
     sort_median_filter,
     zero_insert_then_conv,
 )
+
+
+def nhwc(image):
+    """C x H x W image -> contiguous (1, H, W, C) batch."""
+    return np.ascontiguousarray(image.transpose(1, 2, 0)[None])
+
+
+def hwio(kernels):
+    """(O, C, 3, 3) kernels -> contiguous (3, 3, C, O)."""
+    return np.ascontiguousarray(kernels.transpose(2, 3, 1, 0))
 
 
 class TestConv2d:
@@ -64,41 +72,46 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)))
 
+    # The backward checks run conv3x3_nhwc(_backward), the detector's op, on
+    # channel-last copies of each image (nhwc) and kernel (hwio).
+
     def test_backward_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 4, 4))
-        k = rng.standard_normal((2, 2, 3, 3))
-        gx, gk, gb = conv2d_backward(x, k, np.zeros((2, 4, 4)))
+        x = nhwc(rng.standard_normal((2, 4, 4)))
+        k = hwio(rng.standard_normal((2, 2, 3, 3)))
+        gx, gk, gb = conv3x3_nhwc_backward(x, k, np.zeros((1, 4, 4, 2)))
         assert not gx.any() and not gk.any() and not gb.any()
 
     def test_backward_bias_grad_is_upstream_channel_sum(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((1, 5, 5))
-        k = rng.standard_normal((3, 1, 3, 3))
+        x = nhwc(rng.standard_normal((1, 5, 5)))
+        k = hwio(rng.standard_normal((3, 1, 3, 3)))
         up = rng.standard_normal((3, 5, 5))
-        _, _, gb = conv2d_backward(x, k, up)
+        _, _, gb = conv3x3_nhwc_backward(x, k, nhwc(up))
         assert rel_err(gb, up.sum(axis=(1, 2))) < 1e-12
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 4, 4))
-        k = rng.standard_normal((2, 2, 3, 3))
+        x = nhwc(rng.standard_normal((2, 4, 4)))
+        k = hwio(rng.standard_normal((2, 2, 3, 3)))
         b = rng.standard_normal(2)
-        up = rng.standard_normal((2, 4, 4))
-        gx, gk, gb = conv2d_backward(x, k, up)
+        up = nhwc(rng.standard_normal((2, 4, 4)))
+        gx, gk, gb = conv3x3_nhwc_backward(x, k, up)
 
         def loss_x(a):
-            return float(np.sum(up * (conv2d(a, k) + b[:, None, None])))
+            return float(np.sum(up * conv3x3_nhwc(a, k, b)))
 
         def loss_k(a):
-            return float(np.sum(up * (conv2d(x, a) + b[:, None, None])))
+            return float(np.sum(up * conv3x3_nhwc(x, a, b)))
 
         assert rel_err(gx, fd_gradient(loss_x, x.copy())) < 1e-4
         assert rel_err(gk, fd_gradient(loss_k, k.copy())) < 1e-4
 
     def test_backward_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            conv2d_backward(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros((2, 5, 4)))
+            conv3x3_nhwc_backward(
+                np.zeros((1, 4, 4, 1)), np.zeros((3, 3, 1, 2)), np.zeros((1, 5, 4, 2))
+            )
 
 
 # (input shape, output channels): one small GEMM under OpenBLAS's small-matrix
@@ -284,13 +297,12 @@ class TestInstanceNorm:
     def test_unit_gain_zero_bias_standardizes(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 8, 8)) * 4 + 2
-        y = instance_norm(x, np.ones(3), np.zeros(3))
+        y, _ = instance_norm_nhwc(nhwc(x), np.ones(3), np.zeros(3))
         assert np.all(np.abs(y.mean(axis=(1, 2))) <= 1e-6)
         assert np.all(np.abs(y.var(axis=(1, 2)) - 1.0) <= 1e-4)
 
     def test_constant_channel_maps_to_zero(self):
-        x = np.full((1, 4, 4), 7.0)
-        y = instance_norm(x, np.ones(1), np.zeros(1))
+        y, _ = instance_norm_nhwc(np.full((1, 4, 4, 1), 7.0), np.ones(1), np.zeros(1))
         assert np.all(y == 0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -310,24 +322,24 @@ class TestInstanceNorm:
 
     def test_degenerate_spatial_map_raises(self):
         with pytest.raises(ParameterError):
-            instance_norm(np.zeros((2, 1, 1)), np.ones(2), np.zeros(2))
+            instance_norm_nhwc(np.zeros((1, 1, 1, 2)), np.ones(2), np.zeros(2))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, 4, 4))
+        x = nhwc(rng.standard_normal((2, 4, 4)))
         gain = rng.standard_normal(2)
         bias = rng.standard_normal(2)
-        up = rng.standard_normal((2, 4, 4))
-        gx, ggain, gbias = instance_norm_backward(x, gain, bias, up)
+        up = nhwc(rng.standard_normal((2, 4, 4)))
+        gx, ggain, gbias = instance_norm_nhwc_backward(instance_norm_nhwc(x, gain, bias)[1], up)
 
         def loss_x(a):
-            return float(np.sum(up * instance_norm(a, gain, bias)))
+            return float(np.sum(up * instance_norm_nhwc(a, gain, bias)[0]))
 
         def loss_g(g):
-            return float(np.sum(up * instance_norm(x, g, bias)))
+            return float(np.sum(up * instance_norm_nhwc(x, g, bias)[0]))
 
         def loss_b(b):
-            return float(np.sum(up * instance_norm(x, gain, b)))
+            return float(np.sum(up * instance_norm_nhwc(x, gain, b)[0]))
 
         assert rel_err(gx, fd_gradient(loss_x, x.copy())) < 1e-4
         assert rel_err(ggain, fd_gradient(loss_g, gain.copy())) < 1e-4

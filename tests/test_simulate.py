@@ -1,5 +1,6 @@
 import hashlib
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from fsf.simulate import (
     upsample_zero,
 )
 from fsf.spectral import quadrant_correlation, quadrant_split, self_similarity_features, spectrum_of
+
+from fsf.ops import transposed_conv2d
 
 from oracles import rel_err, zero_insert_then_conv
 
@@ -73,11 +76,12 @@ class TestUpsampleTconv:
         assert np.array_equal(a, b)
 
     def test_linear_mode_matches_zero_insert_conv_oracle(self):
+        # the stage's linear part: its transposed convolution alone
         rng = np.random.default_rng(4)
         img = rng.integers(-4, 5, size=(5, 5)).astype(np.float64)
         stage = make_tconv_stage(np.random.default_rng(7))
         stage.tconv_kernel = np.rint(stage.tconv_kernel * 40)
-        out = upsample_tconv(img, stage, nonlinearity=False)
+        out = transposed_conv2d(img[None], stage.tconv_kernel)[0]
         expected = zero_insert_then_conv(img[None], stage.tconv_kernel)[0]
         assert np.array_equal(out, expected)
 
@@ -162,6 +166,8 @@ class TestPipelines:
             PipelineConfig("bicubic", 1, 0, 8)
         with pytest.raises(ParameterError):
             PipelineConfig("nearest", 0, 0, 8)
+        with pytest.raises(ParameterError):  # 28 x 2^8 = 7168 px, over the 4096 cap
+            PipelineConfig("zero_insert", 8, 0, 28)
 
     def test_depth1_zero_insert_quadrants_equal(self):
         pipe = PipelineConfig("zero_insert", 1, 11, 32)
@@ -241,9 +247,8 @@ class TestPipelines:
         assert np.mean(fake_corrs) >= 0.5
 
     def test_size_overflow_rejected(self):
-        pipe = PipelineConfig("zero_insert", 10, 0, 8)
         with pytest.raises(ParameterError):
-            generate_fake(0, pipe)
+            PipelineConfig("zero_insert", 10, 0, 8)
 
 
 class TestBuildCorpus:
@@ -267,11 +272,12 @@ class TestBuildCorpus:
         manifests = build_corpus(self._spec(tmp_path), tmp_path)
         train = manifests["train"]
         assert len(train) == 20
-        assert train.counts() == {"real": 10, "generated": 10}
-        assert train.pipelines() == ["zero"]  # holdout excluded from training
+        assert Counter(e.label for e in train.entries) == {"real": 10, "generated": 10}
+        # holdout excluded from training
+        assert {e.pipeline for e in train.entries if e.label == "generated"} == {"zero"}
         test = manifests["test"]
-        assert test.counts() == {"real": 4, "generated": 4}
-        assert set(test.pipelines()) == {"zero", "near"}
+        assert Counter(e.label for e in test.entries) == {"real": 4, "generated": 4}
+        assert {e.pipeline for e in test.entries if e.label == "generated"} == {"zero", "near"}
 
     def test_rerun_produces_identical_tree(self, tmp_path):
         def tree_hash(root):

@@ -141,19 +141,17 @@ class TestQuadrantAverage:
 class TestFractalPyramid:
     def test_zero_levels_is_identity(self):
         s = np.random.default_rng(7).random((8, 8))
-        pyr = fractal_pyramid(s, 0)
-        assert pyr.depth == 0
-        assert np.array_equal(pyr.levels[0], s)
+        levels = fractal_pyramid(s, 0)
+        assert len(levels) == 1
+        assert np.array_equal(levels[0], s)
 
     def test_full_crop_level_sizes(self):
         s = np.zeros((224, 224))
-        pyr = fractal_pyramid(s, 4)
-        sizes = [lv.shape[-1] for lv in pyr.levels]
+        sizes = [lv.shape[-1] for lv in fractal_pyramid(s, 4)]
         assert sizes == [224, 112, 56, 28, 14]
 
     def test_extents_halve_exactly(self):
-        pyr = fractal_pyramid(np.zeros((64, 32)), 3)
-        shapes = [lv.shape for lv in pyr.levels]
+        shapes = [lv.shape for lv in fractal_pyramid(np.zeros((64, 32)), 3)]
         assert shapes == [(64, 32), (32, 16), (16, 8), (8, 4)]
 
     def test_insufficient_divisibility_raises(self):
@@ -169,9 +167,9 @@ class TestFractalPyramid:
         img = rng.random((8, 8))
         once = upsample_zero(img)
         twice = upsample_zero(once)
-        pyr = fractal_pyramid(spectrum_of(twice), 2)
-        assert rel_err(pyr.levels[1], spectrum_of(once)) < 1e-9
-        assert rel_err(pyr.levels[2], spectrum_of(img)) < 1e-9
+        levels = fractal_pyramid(spectrum_of(twice), 2)
+        assert rel_err(levels[1], spectrum_of(once)) < 1e-9
+        assert rel_err(levels[2], spectrum_of(img)) < 1e-9
 
     def test_k_fold_upsampling_elevates_low_levels_only(self):
         from fsf.simulate import synth_real

@@ -6,7 +6,7 @@ from fsf.fileio import Manifest, ManifestEntry
 from fsf.forensics import DistortionConfig
 from fsf.model import ModelConfig
 from fsf.simulate import CorpusSpec, PipelineConfig, build_corpus
-from fsf.training import TrainConfig, auc_score, ablation_table, evaluate, train
+from fsf.training import TrainConfig, accuracy_table, auc_score, evaluate, train
 
 
 @pytest.fixture(scope="module")
@@ -137,14 +137,17 @@ class TestAblationTable:
     def test_grid_shape(self):
         from fsf.training import EvalResult
 
-        results = {
-            0: EvalResult("none", {"zero": 0.7, "near": 0.6}, 0.65, 40),
-            2: EvalResult("none", {"zero": 0.9, "near": 0.8}, 0.85, 40),
-        }
-        header, rows = ablation_table(results)
+        columns = [
+            ("N=0*", EvalResult("none", {"zero": 0.7, "near": 0.6}, 0.65, 40)),
+            ("N=2", EvalResult("none", {"zero": 0.9, "near": 0.8}, 0.85, 40)),
+        ]
+        header, rows = accuracy_table(columns)
         assert header == ["pipeline", "N=0*", "N=2"]
-        assert rows[0][0] == "near"
-        assert rows[-1][0] == "overall"
+        assert rows == [
+            ["near", "0.6000", "0.8000"],
+            ["zero", "0.7000", "0.9000"],
+            ["overall", "0.6500", "0.8500"],
+        ]
 
 
 class TestAuc:

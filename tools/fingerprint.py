@@ -2,9 +2,11 @@
 
 Each line is ``<name> <sha256>``.  The outputs are the detector's logits,
 features and gradients for five model configurations in float32 and
-float64, a 2-epoch 64 px training history with its checkpoint bytes, and a
+float64, a 2-epoch 64 px training history with its checkpoint bytes, a
 small corpus with its ``features_export`` and ``average_spectrum_report``
-files.  Two commits compute the same floats exactly when their lines match:
+files, and ``evaluate`` of that checkpoint on the corpus under four
+distortions.  Two commits compute the same floats exactly when their lines
+match:
 
     PYTHONPATH=src python3 tools/fingerprint.py > before.txt   # commit A
     git checkout B
@@ -26,13 +28,13 @@ import tempfile
 
 import numpy as np
 
-from fsf.checkpoint import save_checkpoint
+from fsf.checkpoint import load_checkpoint, save_checkpoint
 from fsf.figures import average_spectrum_report, features_export
 from fsf.fileio import read_manifest
-from fsf.forensics import AugmentPolicy
+from fsf.forensics import AugmentPolicy, DistortionConfig
 from fsf.model import FractalCNN, ModelConfig, bce_with_logits
 from fsf.simulate import CorpusSpec, PipelineConfig, build_corpus
-from fsf.training import TrainConfig, train
+from fsf.training import TrainConfig, evaluate, train
 
 # (name, batch, ModelConfig fields); each runs in float32 and float64.
 MODELS = [
@@ -124,6 +126,22 @@ def corpus_lines(work, per_class):
     yield "corpus/average_spectrum_report", _tree_digest(os.path.join(work, "average"))
 
 
+def eval_lines(work):
+    """``evaluate`` of the trained checkpoint on the corpus test manifest."""
+    ckpt = load_checkpoint(os.path.join(work, "model.ckpt"))
+    manifest = read_manifest(os.path.join(work, "corpus", "manifest_test.csv"))
+    for distortion in (
+        DistortionConfig("none"),
+        DistortionConfig("jpeg", jpeg_quality=95),
+        DistortionConfig("downsample"),
+        DistortionConfig("gaussian_blur", blur_sigma=1.0),
+    ):
+        result = evaluate(ckpt, manifest, distortion)
+        yield f"eval/{result.distortion}", _digest(
+            repr(sorted(result.per_pipeline.items())), repr(result.overall), result.n_images
+        )
+
+
 def fingerprint(smoke: bool = False):
     """Yield (name, sha256) for every checked output."""
     with tempfile.TemporaryDirectory() as work:
@@ -131,10 +149,12 @@ def fingerprint(smoke: bool = False):
             yield from model_lines(SMOKE_MODELS)
             yield from train_lines(work, 16, 6, dict(channels=4, n_units=1, head_hidden=8))
             yield from corpus_lines(work, 2)
+            yield from eval_lines(work)
         else:
             yield from model_lines(MODELS)
             yield from train_lines(work, 64, 20, dict(channels=32, n_units=2))
             yield from corpus_lines(work, 10)
+            yield from eval_lines(work)
 
 
 def main(argv=None) -> int:
