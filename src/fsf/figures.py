@@ -82,6 +82,12 @@ def average_spectrum_report(manifest: Manifest, out_dir, residual: bool = False)
     for name in sorted(groups):
         entries = groups[name]
         images = parallel_map(lambda e: read_image(manifest.resolve(e)), entries)
+        for entry, image in zip(entries, images):
+            if image.shape != images[0].shape:
+                raise DataError(
+                    f"{manifest.resolve(entry)} is {image.shape}, but the first image of "
+                    f"group {name!r} ({manifest.resolve(entries[0])}) is {images[0].shape}"
+                )
         avg = average_spectrum(images, residual_fn=residual_fn)
         tag = "residual" if residual else "raw"
         filename = f"avg_{tag}_{name}.pgm"
@@ -116,23 +122,24 @@ def features_export(
     if model is not None:
         header += [f"svec_{i}" for i in range(checkpoint.config.feature_width)]
 
+    rows = []
+    for entry in manifest.entries:
+        path = manifest.resolve(entry)
+        image = read_image(path) if model is None else read_detector_image(path)
+        target = noise_residual(image) if residual else image
+        stats = self_similarity_features(spectrum_of(target), levels, measure)
+        row = [entry.path, entry.label, entry.pipeline]
+        row += [f"{s:.8g}" for s in stats]
+        if model is not None:
+            prepped = detector_input(
+                image, checkpoint.config.input_size, checkpoint.residual_kernel
+            )
+            vec = model.features(prepped[None, :, :, None])[0]
+            row += [f"{v:.8g}" for v in vec]
+        rows.append(row)
+    # Written once every row exists, so a failed run leaves no partial table.
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        count = 0
-        for entry in manifest.entries:
-            path = manifest.resolve(entry)
-            image = read_image(path) if model is None else read_detector_image(path)
-            target = noise_residual(image) if residual else image
-            stats = self_similarity_features(spectrum_of(target), levels, measure)
-            row = [entry.path, entry.label, entry.pipeline]
-            row += [f"{s:.8g}" for s in stats]
-            if model is not None:
-                prepped = detector_input(
-                    image, checkpoint.config.input_size, checkpoint.residual_kernel
-                )
-                vec = model.features(prepped[None, :, :, None])[0]
-                row += [f"{v:.8g}" for v in vec]
-            writer.writerow(row)
-            count += 1
-    return count
+        writer.writerows(rows)
+    return len(rows)

@@ -248,55 +248,34 @@ def instance_norm_nhwc_backward(cache, upstream: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Variadic elementwise product
+# Four-factor elementwise product
 # ---------------------------------------------------------------------------
 
-def elementwise_mul(*arrays: np.ndarray) -> np.ndarray:
-    """Hadamard product of all arguments (at least one, equal shapes).
-
-    Factors are multiplied as a balanced pairwise tree, so four factors give
-    ``(a0 * a1) * (a2 * a3)``.
-    """
-    if not arrays:
-        raise ParameterError("elementwise_mul needs at least one argument")
+def _four(arrays) -> list:
+    if len(arrays) != 4:
+        raise ParameterError(f"elementwise_mul takes four factors, got {len(arrays)}")
     arrays = [np.asarray(a) for a in arrays]
-    shape = arrays[0].shape
     for a in arrays[1:]:
-        if a.shape != shape:
-            raise DimensionError(f"shape mismatch: {a.shape} vs {shape}")
-    if len(arrays) == 1:
-        return arrays[0].copy()
-    return _tree_product(arrays)
+        if a.shape != arrays[0].shape:
+            raise DimensionError(f"shape mismatch: {a.shape} vs {arrays[0].shape}")
+    return arrays
 
 
-def elementwise_mul_backward(arrays, upstream: np.ndarray):
-    """Per-argument gradients of the variadic product.
+def elementwise_mul(*arrays: np.ndarray) -> np.ndarray:
+    """Hadamard product ``(a0 * a1) * (a2 * a3)`` of four equally shaped factors."""
+    a0, a1, a2, a3 = _four(arrays)
+    return (a0 * a1) * (a2 * a3)
 
-    Each gradient is ``upstream`` times the product of the other factors,
-    grouped along the forward pass's tree (for four factors,
-    ``upstream * (a1 * (a2 * a3))`` and so on), so zeros in any factor are
+
+def elementwise_mul_backward(arrays, upstream: np.ndarray) -> list:
+    """Per-factor gradients of :func:`elementwise_mul`.
+
+    Each gradient is ``upstream`` times the product of the other three
+    factors, grouped as in the forward pass, so zeros in any factor are
     handled without division.
     """
-    if len(arrays) == 0:
-        raise ParameterError("elementwise_mul_backward needs at least one factor")
-    arrays = [np.asarray(a) for a in arrays]
+    a0, a1, a2, a3 = _four(arrays)
     upstream = np.asarray(upstream)
-    return [upstream.copy() if c is None else upstream * c for c in _tree_cofactors(arrays)]
-
-
-def _tree_product(arrays):
-    if len(arrays) == 1:
-        return arrays[0]
-    half = len(arrays) // 2
-    return _tree_product(arrays[:half]) * _tree_product(arrays[half:])
-
-
-def _tree_cofactors(arrays):
-    """Per factor, the tree product of all the others (None for a lone factor)."""
-    if len(arrays) == 1:
-        return [None]
-    half = len(arrays) // 2
-    left, right = _tree_product(arrays[:half]), _tree_product(arrays[half:])
-    return [right if c is None else c * right for c in _tree_cofactors(arrays[:half])] + [
-        left if c is None else left * c for c in _tree_cofactors(arrays[half:])
-    ]
+    p01, p23 = a0 * a1, a2 * a3
+    return [upstream * (a1 * p23), upstream * (a0 * p23),
+            upstream * (p01 * a3), upstream * (p01 * a2)]

@@ -300,14 +300,17 @@ class TestExitCodes:
         assert "residual_kernel" in capsys.readouterr().err
 
 
+def write_p6(image):
+    image.write_bytes(b"P6\n32 32\n255\n" + bytes(32 * 32 * 3))
+
+
 @pytest.fixture
 def p6_corpus(tmp_path):
     """A corpus whose first real train and test images are three-channel P6 files."""
     path, _ = experiment_config(tmp_path)
     assert main(["simulate", "--config", str(path)]) == 0
     for split in ("train", "test"):
-        image = tmp_path / "corpus" / "images" / f"{split}_real_00000.pgm"
-        image.write_bytes(b"P6\n32 32\n255\n" + bytes(32 * 32 * 3))
+        write_p6(tmp_path / "corpus" / "images" / f"{split}_real_00000.pgm")
     return tmp_path, path
 
 
@@ -332,3 +335,21 @@ class TestMultiChannelImages:
         ckpt = workspace[0] / "run" / "checkpoint.ckpt"
         assert main(args + ["--checkpoint", str(ckpt)]) == 3
         assert main(args) == 0
+
+    def test_features_failing_partway_leaves_no_table(self, tmp_path, workspace):
+        path, _ = experiment_config(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 0
+        manifest = tmp_path / "corpus" / "manifest_test.csv"
+        third = manifest.read_text().splitlines()[3].split(",")[0]
+        write_p6(tmp_path / "corpus" / third)
+        out = tmp_path / "features.csv"
+        ckpt = workspace[0] / "run" / "checkpoint.ckpt"
+        assert main(["features", "--manifest", str(manifest), "--out", str(out),
+                     "--checkpoint", str(ckpt)]) == 3
+        assert not out.exists()
+
+    def test_spectrum_of_group_mixing_p5_and_p6_returns_3(self, p6_corpus, capsys):
+        tmp_path, _ = p6_corpus
+        assert main(["spectrum", "--manifest", str(tmp_path / "corpus" / "manifest_test.csv"),
+                     "--out", str(tmp_path / "spectra")]) == 3
+        assert "test_real_00001.pgm" in capsys.readouterr().err

@@ -52,8 +52,7 @@ def test_naive_oracle_equivalence(size):
 
 
 # Composite lengths that are not powers of two: smooth ones (6 .. 225), and
-# ones whose four-step split leaves a prime above the dense bound (194 =
-# 2 * 97, 201 = 3 * 67) for Bluestein.
+# ones with a prime factor above the dense bound (194 = 2 * 97, 201 = 3 * 67).
 @pytest.mark.parametrize("n", [6, 9, 25, 49, 100, 112, 194, 201, 225])
 def test_composite_lengths_match_naive_oracle(n):
     rng = np.random.default_rng(n)
@@ -62,7 +61,19 @@ def test_composite_lengths_match_naive_oracle(n):
     assert rel_err(idft2(dft2(x)).real, x) < 1e-9
 
 
-@pytest.mark.parametrize("n", [56, 224])
+# The same smooth lengths on the single-precision four-step GEMM path.
+@pytest.mark.parametrize("n", [6, 9, 25, 49, 100, 112, 225])
+def test_single_precision_composite_lengths_match_naive_oracle(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n))
+    got = dft2(x.astype(np.float32))
+    assert got.dtype == np.complex64
+    assert rel_err(got, naive_dft2(x)) < 1e-5
+
+
+# 67 and 194 = 2 * 97 have a prime factor above the dense bound, so they
+# leave the GEMM path; the result stays single precision.
+@pytest.mark.parametrize("n", [56, 67, 194, 224])
 def test_single_precision_composite_matches_double(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((2, n, n))
@@ -72,18 +83,28 @@ def test_single_precision_composite_matches_double(n):
 
 
 def test_large_prime_factor_of_composite_runs_bluestein():
-    # A dense 100003-point DFT matrix would need 160 GB; the split must send
-    # that factor through Bluestein.
+    # A dense 100003-point DFT matrix would need 80 GB in complex64; a
+    # float32 input of that length must not take the dense GEMM path.
     x = np.random.default_rng(5).standard_normal((1, 2 * 100003))
-    assert rel_err(dft2(x), np.fft.fft(x)) < 1e-9
+    got = dft2(x.astype(np.float32))
+    assert got.dtype == np.complex64
+    assert rel_err(got, np.fft.fft(x)) < 1e-5
 
 
 @pytest.mark.parametrize("n", [17, 31, 101, 149])
-def test_large_prime_lengths_use_bluestein_correctly(n):
+def test_prime_lengths_match_dense_dft(n):
     rng = np.random.default_rng(n)
-    x = rng.standard_normal((n,)) + 1j * rng.standard_normal((n,))
-    mat = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    assert rel_err(dft2(x[:, None])[:, 0], mat @ x) < 1e-9
+    x = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    assert rel_err(dft2(x), naive_dft2(x)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [17, 31])
+def test_single_precision_prime_lengths_match_dense_dft(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    got = dft2(x.astype(np.complex64))
+    assert got.dtype == np.complex64
+    assert rel_err(got, naive_dft2(x)) < 1e-5
 
 
 @pytest.mark.parametrize("size", [(5, 7), (8, 8), (12, 224), (64, 64)])
@@ -118,11 +139,11 @@ def test_single_precision_path_is_single_precision():
     assert rel_err(np.abs(out), np.abs(naive_dft2(x))) < 1e-5
 
 
-# The spectrum stage's means and variances reduce over dft2's output in its
-# memory order, so a layout change changes their float32 bits.  Pin the
-# strides: the row axis (last but one) is the contiguous one, whatever the
-# input's layout or dtype.
-LAYOUT_SHAPES = [(224, 224), (64, 64), (7, 12), (67, 67), (134, 134), (1, 5)]
+# The float32 spectrum stage's means and variances reduce over dft2's output
+# in its memory order, so a layout change changes their bits.  Pin the
+# strides of the four-step path: the row axis (last but one) is the
+# contiguous one, whatever the input's layout or dtype.
+LAYOUT_SHAPES = [(224, 224), (64, 64), (7, 12), (56, 56), (112, 112), (1, 5)]
 
 
 def _pinned_strides(z):
@@ -151,10 +172,7 @@ def test_real_input_matches_its_complex_cast(hw):
 @pytest.mark.parametrize("hw", LAYOUT_SHAPES)
 def test_round_trip_keeps_layout(hw):
     x = np.random.default_rng(sum(hw)).standard_normal((3,) + hw)
-    z = dft2(x)
-    back = idft2(z)
-    assert back.strides == z.strides and _pinned_strides(back)
-    assert rel_err(back.real, x) < 1e-9
+    assert rel_err(idft2(dft2(x)).real, x) < 1e-9
 
 
 def test_peak_memory_is_two_work_planes():

@@ -350,12 +350,21 @@ class TestElementwiseMul:
     def test_ones_is_identity_and_zeros_annihilate(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((3, 4))
-        assert np.array_equal(elementwise_mul(a, np.ones_like(a)), a)
-        assert not elementwise_mul(a, np.zeros_like(a), a).any()
+        ones = np.ones_like(a)
+        assert np.array_equal(elementwise_mul(a, ones, ones, ones), a)
+        assert not elementwise_mul(a, np.zeros_like(a), a, a).any()
 
     def test_shape_mismatch_raises(self):
+        a = np.zeros((2, 2))
         with pytest.raises(DimensionError):
-            elementwise_mul(np.zeros((2, 2)), np.zeros((2, 3)))
+            elementwise_mul(a, a, a, np.zeros((2, 3)))
+
+    def test_factor_count_other_than_four_raises(self):
+        a = np.zeros((2, 2))
+        with pytest.raises(ParameterError):
+            elementwise_mul(a, a, a)
+        with pytest.raises(ParameterError):
+            elementwise_mul_backward([a, a], a)
 
     def test_four_way_product_gradient(self):
         rng = np.random.default_rng(13)
@@ -371,9 +380,9 @@ class TestElementwiseMul:
 
     def test_gradient_with_zero_factor(self):
         rng = np.random.default_rng(14)
-        arrays = [rng.standard_normal((2, 2)) for _ in range(3)]
+        arrays = [rng.standard_normal((2, 2)) for _ in range(4)]
         arrays[1] = np.zeros((2, 2))
         up = np.ones((2, 2))
         grads = elementwise_mul_backward(arrays, up)
-        assert not grads[0].any() and not grads[2].any()
-        assert rel_err(grads[1], arrays[0] * arrays[2]) < 1e-12
+        assert not grads[0].any() and not grads[2].any() and not grads[3].any()
+        assert rel_err(grads[1], arrays[0] * (arrays[2] * arrays[3])) < 1e-12
