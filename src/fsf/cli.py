@@ -16,6 +16,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import json
 import os
@@ -183,9 +184,7 @@ def cmd_simulate(args) -> int:
     manifests = build_corpus(cfg.corpus, corpus_dir)
     write_run_meta(corpus_dir, args, cfg.seed, cfg.digest)
     for split, manifest in manifests.items():
-        counts: dict = {}
-        for entry in manifest.entries:
-            counts[entry.pipeline] = counts.get(entry.pipeline, 0) + 1
+        counts = collections.Counter(entry.pipeline for entry in manifest.entries)
         listing = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"{split}: {len(manifest)} images ({listing})")
     return 0

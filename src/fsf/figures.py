@@ -10,8 +10,6 @@ from __future__ import annotations
 import csv
 import os
 
-import numpy as np
-
 from .checkpoint import ModelCheckpoint
 from .errors import DataError
 from .fileio import Manifest, read_image, write_pgm, write_table

@@ -32,14 +32,12 @@ JPEG_LUMA_TABLE = np.array(
 )
 
 
-def _as_channels(image: np.ndarray):
-    """View an (H, W) or (C, H, W) array as (C, H, W) plus a squeeze flag."""
+def _graymap(image: np.ndarray) -> np.ndarray:
+    """``image`` as a float64 (H, W) array; anything else is rejected."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 2:
-        return image[None], True
-    if image.ndim == 3:
-        return image, False
-    raise ParameterError(f"expected (H, W) or (C, H, W), got shape {image.shape}")
+    if image.ndim != 2:
+        raise ParameterError(f"expected an (H, W) graymap, got shape {image.shape}")
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +45,11 @@ def _as_channels(image: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def noise_residual(image: np.ndarray, k: int = 7) -> np.ndarray:
-    """Image minus its median-blurred version, per channel."""
-    planes, squeeze = _as_channels(image)
-    out = np.stack([p - median_filter(p, k) for p in planes])
-    return out[0] if squeeze else out
+    """Image minus its median-blurred version; (C, H, W) input per channel."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim == 3:
+        return np.stack([plane - median_filter(plane, k) for plane in image])
+    return _graymap(image) - median_filter(image, k)
 
 
 # ---------------------------------------------------------------------------
@@ -82,24 +81,20 @@ def jpeg_distort(image: np.ndarray, quality: int) -> np.ndarray:
 
     Covers the pixel-level effect of JPEG compression: 8x8 DCT, quality
     scaled quantization of the luminance table, dequantization, inverse DCT.
-    Entropy coding is lossless and therefore omitted; channels are coded
-    independently (no chroma subsampling).
+    Entropy coding is lossless and therefore omitted.
     """
     table = jpeg_quant_table(quality)
-    planes, squeeze = _as_channels(image)
-    c, h, w = planes.shape
-    pad_h = (-h) % 8
-    pad_w = (-w) % 8
-    padded = np.pad(planes, ((0, 0), (0, pad_h), (0, pad_w)), mode="reflect")
-    ph, pw = padded.shape[1:]
+    image = _graymap(image)
+    h, w = image.shape
+    padded = np.pad(image, ((0, (-h) % 8), (0, (-w) % 8)), mode="reflect")
+    ph, pw = padded.shape
     levels = padded * 255.0 - 128.0
-    blocks = levels.reshape(c, ph // 8, 8, pw // 8, 8).transpose(0, 1, 3, 2, 4)
+    blocks = levels.reshape(ph // 8, 8, pw // 8, 8).transpose(0, 2, 1, 3)
     coefs = _DCT @ blocks @ _DCT.T
     coefs = np.rint(coefs / table) * table
     restored = _DCT.T @ coefs @ _DCT
-    restored = restored.transpose(0, 1, 3, 2, 4).reshape(c, ph, pw)
-    out = np.clip((restored[:, :h, :w] + 128.0) / 255.0, 0.0, 1.0)
-    return out[0] if squeeze else out
+    restored = restored.transpose(0, 2, 1, 3).reshape(ph, pw)
+    return np.clip((restored[:h, :w] + 128.0) / 255.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,34 +105,26 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur, kernel radius ceil(3*sigma), reflect borders."""
     if sigma < 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    planes, squeeze = _as_channels(image)
+    image = _graymap(image)
     if sigma == 0:
-        return planes[0].copy() if squeeze else planes.copy()
+        return image.copy()
     radius = int(np.ceil(3 * sigma))
     taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
     taps /= taps.sum()
 
-    def blur_axis(x, axis):
-        xp = np.pad(
-            x,
-            [(0, 0)] * axis + [(radius, radius)] + [(0, 0)] * (x.ndim - axis - 1),
-            mode="reflect",
-        )
+    def blur_rows(x):  # vertical pass; on the transpose it is the horizontal one
+        xp = np.pad(x, ((radius, radius), (0, 0)), mode="reflect")
         out = np.zeros_like(x)
-        n = x.shape[axis]
         for i, tap in enumerate(taps):
-            sl = [slice(None)] * x.ndim
-            sl[axis] = slice(i, i + n)
-            out += tap * xp[tuple(sl)]
+            out += tap * xp[i:i + len(x)]
         return out
 
-    out = blur_axis(blur_axis(planes, 1), 2)
-    return out[0] if squeeze else out
+    return blur_rows(blur_rows(image).T).T
 
 
 def downsample(image: np.ndarray) -> np.ndarray:
     """Bilinear resampling to half size (half-pixel centers)."""
-    planes, squeeze = _as_channels(image)
+    image = _graymap(image)
 
     def axis_weights(n, n_out):
         src = (np.arange(n_out) + 0.5) * (n / n_out) - 0.5
@@ -146,13 +133,11 @@ def downsample(image: np.ndarray) -> np.ndarray:
         frac = np.clip(src - i0, 0.0, 1.0)
         return i0, i1, frac
 
-    c, h, w = planes.shape
-    h_out, w_out = (h + 1) // 2, (w + 1) // 2
-    r0, r1, rf = axis_weights(h, h_out)
-    rows = planes[:, r0, :] * (1 - rf)[None, :, None] + planes[:, r1, :] * rf[None, :, None]
-    c0, c1, cf = axis_weights(w, w_out)
-    out = rows[:, :, c0] * (1 - cf)[None, None, :] + rows[:, :, c1] * cf[None, None, :]
-    return out[0] if squeeze else out
+    h, w = image.shape
+    r0, r1, rf = axis_weights(h, (h + 1) // 2)
+    rows = image[r0] * (1 - rf)[:, None] + image[r1] * rf[:, None]
+    c0, c1, cf = axis_weights(w, (w + 1) // 2)
+    return rows[:, c0] * (1 - cf) + rows[:, c1] * cf
 
 
 # ---------------------------------------------------------------------------
@@ -161,25 +146,17 @@ def downsample(image: np.ndarray) -> np.ndarray:
 
 def center_crop_pad(image: np.ndarray, size: int = 224) -> np.ndarray:
     """Center crop to size x size; reflect-pad first when too small."""
-    planes, squeeze = _as_channels(image)
-    c, h, w = planes.shape
+    image = _graymap(image)
+    h, w = image.shape
     pad_h = max(size - h, 0)
     pad_w = max(size - w, 0)
     if pad_h or pad_w:
-        planes = np.pad(
-            planes,
-            (
-                (0, 0),
-                (pad_h // 2, pad_h - pad_h // 2),
-                (pad_w // 2, pad_w - pad_w // 2),
-            ),
-            mode="reflect",
-        )
-        h, w = planes.shape[1:]
+        pads = ((pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2))
+        image = np.pad(image, pads, mode="reflect")
+        h, w = image.shape
     top = (h - size) // 2
     left = (w - size) // 2
-    out = planes[:, top:top + size, left:left + size]
-    return out[0].copy() if squeeze else out.copy()
+    return image[top:top + size, left:left + size].copy()
 
 
 # ---------------------------------------------------------------------------

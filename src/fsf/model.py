@@ -101,12 +101,6 @@ class FractalCNN:
 
     # -- construction -----------------------------------------------------
 
-    def _conv_block_names(self):
-        names = ["sp1", "sp2", "fq1", "fq2"]
-        for n in range(self.config.n_units):
-            names += [f"u{n}_{q}" for q in BRANCH_NAMES] + [f"u{n}_fuse"]
-        return names
-
     def _init_params(self, rng: np.random.Generator):
         cfg = self.config
         gain = np.sqrt(2.0 / (1.0 + cfg.leaky_slope ** 2))
@@ -282,21 +276,6 @@ class FractalCNN:
         """Concatenated level vectors (B, channels * (n_units + 1)), no caching."""
         _, cache = self.forward(x, keep_cache=False)
         return cache["features"]
-
-    def highpass_forward(self, x: np.ndarray) -> np.ndarray:
-        """The artifact-strengthening front end alone: (B, H, W, C_in) ->
-        level-zero feature spectrum (B, H, W, channels)."""
-        return self._highpass(np.asarray(x, dtype=self.config.np_dtype), {}, False)
-
-    def fractal_unit_forward(self, h: np.ndarray, n: int):
-        """One recursion step: level spectrum -> (level vector, next level).
-
-        ``h`` is (B, H, W, channels); returns the pooled fused-branch vector
-        (B, channels) and the quadrant average (B, H/2, W/2, channels).
-        """
-        if not 0 <= n < self.config.n_units:
-            raise ParameterError(f"model has units 0..{self.config.n_units - 1}, got {n}")
-        return self._fractal_unit(np.asarray(h, dtype=self.config.np_dtype), n, {}, False)
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> dict:
         """Parameter gradients for the cached forward pass."""

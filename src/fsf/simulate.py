@@ -20,7 +20,8 @@ need no external data.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,41 +53,17 @@ def upsample_nearest(image: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(image, 2, axis=0), 2, axis=1)
 
 
-@dataclass
-class TconvStage:
-    """Seeded filter bank for one nonlinear 2x upsampling stage."""
-
-    tconv_kernel: np.ndarray  # (1, 1, 4, 4)
-    conv1_kernel: np.ndarray  # (1, 1, 3, 3)
-    conv2_kernel: np.ndarray  # (1, 1, 3, 3)
-    slope: float = 0.2
-
-
-def make_tconv_stage(rng: np.random.Generator, std: float = 0.1) -> TconvStage:
-    return TconvStage(
-        tconv_kernel=rng.normal(0.0, std, size=(1, 1, 4, 4)),
-        conv1_kernel=rng.normal(0.0, std, size=(1, 1, 3, 3)),
-        conv2_kernel=rng.normal(0.0, std, size=(1, 1, 3, 3)),
-    )
-
-
-def upsample_tconv(image: np.ndarray, stage: TconvStage) -> np.ndarray:
-    """One learned-generator-style 2x stage; deterministic for a fixed stage."""
-    x = transposed_conv2d(np.asarray(image)[None], stage.tconv_kernel)
-    x = conv2d(x, stage.conv1_kernel)
-    x = leaky_relu(x, stage.slope)
-    x = conv2d(x, stage.conv2_kernel)
-    return x[0]
+def upsample_tconv(image: np.ndarray, kernels) -> np.ndarray:
+    """One learned-generator-style 2x stage; ``kernels`` is (tconv, conv1, conv2)."""
+    tconv, conv1, conv2 = kernels
+    x = transposed_conv2d(np.asarray(image)[None], tconv)
+    x = leaky_relu(conv2d(x, conv1), 0.2)
+    return conv2d(x, conv2)[0]
 
 
 # ---------------------------------------------------------------------------
 # Spectral watermarking (formation-process visualization)
 # ---------------------------------------------------------------------------
-
-def hermitian_flip(plane: np.ndarray) -> np.ndarray:
-    """Index map (u, v) -> (-u mod H, -v mod W)."""
-    return np.roll(plane[::-1, ::-1], (1, 1), axis=(0, 1))
-
 
 def embed_spectral_watermark(image: np.ndarray, glyph_mask: np.ndarray, amplitude=None) -> np.ndarray:
     """Add a glyph to the magnitude spectrum and return the real image.
@@ -105,7 +82,8 @@ def embed_spectral_watermark(image: np.ndarray, glyph_mask: np.ndarray, amplitud
         )
     full = np.zeros((h, w))
     full[:, : w // 2 + 1] = glyph_mask
-    sym = np.maximum(full, hermitian_flip(full))
+    # mirror onto the conjugate bins: (u, v) -> (-u mod H, -v mod W)
+    sym = np.maximum(full, np.roll(full[::-1, ::-1], (1, 1), axis=(0, 1)))
 
     spec = dft2(image)
     mag = np.abs(spec)
@@ -203,13 +181,16 @@ class PipelineConfig:
             raise ParameterError(f"kernel_scope must be pipeline|image, got {self.kernel_scope}")
         if not self.name:
             object.__setattr__(self, "name", f"{self.kind}_d{self.depth}")
+        # the name becomes part of file names, next to the real class's
+        if self.name == "real" or not re.fullmatch(r"[A-Za-z0-9_.-]+", self.name):
+            raise ParameterError(f"pipeline name must match [A-Za-z0-9_.-]+ and not be 'real': {self.name!r}")
 
     @property
     def final_size(self) -> int:
         return self.base_size << self.depth
 
-    def stage(self, index: int, image_seed=None) -> TconvStage:
-        """Filter bank for stage ``index``.
+    def stage(self, index: int, image_seed=None) -> tuple:
+        """(tconv 4x4, conv1 3x3, conv2 3x3) kernels for stage ``index``.
 
         With pipeline scope the bank depends only on the pipeline seed; with
         image scope it also folds in the image seed.
@@ -220,7 +201,7 @@ class PipelineConfig:
             rng = np.random.default_rng((self.seed, index, int(image_seed), 0xF5))
         else:
             rng = np.random.default_rng((self.seed, index, 0xF5))
-        return make_tconv_stage(rng)
+        return tuple(rng.normal(0.0, 0.1, size=(1, 1, k, k)) for k in (4, 3, 3))
 
     def upsample(self, image: np.ndarray, index: int, image_seed=None) -> np.ndarray:
         """Apply upsampling stage ``index`` of this pipeline to ``image``."""
@@ -314,36 +295,23 @@ def build_corpus(spec: CorpusSpec, out_dir) -> dict:
     images_dir = os.path.join(out_dir, "images")
     os.makedirs(images_dir, exist_ok=True)
 
-    jobs = []  # (filename, label, pipeline_name, seed, maker)
-    counter = 0
+    jobs = []  # (filename, label, pipeline_name, seed, split)
 
-    def next_seed():
-        nonlocal counter
-        counter += 1
-        return spec.seed * 1_000_000 + counter
-
-    def add_real(split: str, count: int):
+    def add(split: str, label: str, name: str, count: int):
         for i in range(count):
-            s = next_seed()
-            jobs.append((f"{split}_real_{i:05d}.pgm", "real", "real", s, split))
+            seed = spec.seed * 1_000_000 + len(jobs) + 1
+            jobs.append((f"{split}_{name}_{i:05d}.pgm", label, name, seed, split))
 
-    def add_fake(split: str, pipeline: PipelineConfig, count: int):
-        for i in range(count):
-            s = next_seed()
-            jobs.append(
-                (f"{split}_{pipeline.name}_{i:05d}.pgm", "generated", pipeline.name, s, split)
-            )
-
-    add_real("train", spec.n_train_real)
+    add("train", "real", "real", spec.n_train_real)
     train_pipes = spec.train_pipelines()
     if spec.n_train_fake:
         share = spec.n_train_fake // len(train_pipes)
         extra = spec.n_train_fake - share * len(train_pipes)
         for idx, pipe in enumerate(train_pipes):
-            add_fake("train", pipe, share + (1 if idx < extra else 0))
-    add_real("test", spec.n_test_real)
+            add("train", "generated", pipe.name, share + (1 if idx < extra else 0))
+    add("test", "real", "real", spec.n_test_real)
     for pipe in spec.pipelines:
-        add_fake("test", pipe, spec.n_test_fake)
+        add("test", "generated", pipe.name, spec.n_test_fake)
 
     by_name = {p.name: p for p in spec.pipelines}
 

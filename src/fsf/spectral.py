@@ -158,17 +158,9 @@ def quadrant_correlation(spectrum: np.ndarray) -> float:
     return float(np.mean(coefs))
 
 
-def shift_center(spectrum: np.ndarray) -> np.ndarray:
-    """Move the DC bin to the array center (visualization layout)."""
-    spectrum = np.asarray(spectrum)
-    h, w = spectrum.shape[-2:]
-    return np.roll(spectrum, (h // 2, w // 2), axis=(-2, -1))
-
-
 def export_view(spectrum: np.ndarray) -> np.ndarray:
-    """Log-scaled, centered, max-normalized copy of a spectrum in [0, 1]."""
-    view = np.log1p(np.asarray(spectrum, dtype=np.float64))
-    view = shift_center(view)
+    """Log-scaled, centered (DC in the middle), max-normalized copy of a spectrum in [0, 1]."""
+    view = np.fft.fftshift(np.log1p(np.asarray(spectrum, dtype=np.float64)), axes=(-2, -1))
     peak = view.max()
     if peak > 0:
         view = view / peak

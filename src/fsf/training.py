@@ -283,7 +283,6 @@ def ablate(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     n_list=(0, 1, 2, 3, 4),
-    distortion: DistortionConfig | None = None,
 ):
     """Train one model per unit count on identical data and seed.
 
@@ -296,7 +295,7 @@ def ablate(
     for n in n_list:
         cfg_n = replace(model_cfg, n_units=n)
         ckpt, _history = train(train_manifest, cfg_n, train_cfg)
-        results[n] = evaluate(ckpt, test_manifest, distortion)
+        results[n] = evaluate(ckpt, test_manifest)
         checkpoints[n] = ckpt
     return results, checkpoints
 
@@ -327,19 +326,10 @@ def auc_score(positive_scores, negative_scores) -> float:
     neg = np.asarray(negative_scores, dtype=np.float64)
     if pos.size == 0 or neg.size == 0:
         raise DataError("AUC needs both positive and negative scores")
-    pooled = np.concatenate([pos, neg])
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty_like(pooled)
-    ranks[order] = np.arange(1, pooled.size + 1)
-    # average ranks over ties
-    sorted_vals = pooled[order]
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
-    r_pos = ranks[: pos.size].sum()
-    return float((r_pos - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size))
+    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+        raise NumericError("AUC scores must be finite")
+    # twice the Mann-Whitney U: per positive, the negatives below it plus those not above it
+    neg = np.sort(neg)
+    below = np.searchsorted(neg, pos, side="left")
+    not_above = np.searchsorted(neg, pos, side="right")
+    return float((below + not_above).sum() / 2.0 / (pos.size * neg.size))

@@ -28,7 +28,7 @@ from fsf.simulate import (
     upsample_nearest,
     upsample_zero,
 )
-from fsf.spectral import quadrant_correlation, quadrant_split, self_similarity, spectrum_of
+from fsf.spectral import quadrant_split, self_similarity, spectrum_of
 from fsf.training import TrainConfig, auc_score, evaluate, train
 
 from oracles import naive_conv2d, naive_dft2, rel_err, sort_median_filter

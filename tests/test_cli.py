@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 
-import numpy as np
 import pytest
 
 from fsf.cli import load_config, main, parse_distortion
@@ -278,6 +277,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["simulate", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("name", ["real", "a/b", "x,y"])
+    def test_unsafe_pipeline_name_returns_2_and_writes_nothing(self, tmp_path, capsys, name):
+        path, cfg = experiment_config(tmp_path)
+        cfg["corpus"]["pipelines"][0]["name"] = name
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
     def test_missing_manifest_returns_3(self, tmp_path, capsys):
         path, _ = experiment_config(tmp_path)

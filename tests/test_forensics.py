@@ -250,3 +250,19 @@ class TestDistortionConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             DistortionConfig("sharpen")
+
+
+@pytest.mark.parametrize(
+    "distort",
+    [
+        lambda x: jpeg_distort(x, 90),
+        lambda x: gaussian_blur(x, 1.0),
+        downsample,
+        lambda x: center_crop_pad(x, 8),
+    ],
+    ids=["jpeg", "blur", "downsample", "crop"],
+)
+@pytest.mark.parametrize("shape", [(3, 16, 16), (16,)])
+def test_distortions_take_graymaps_only(distort, shape):
+    with pytest.raises(ParameterError):
+        distort(np.zeros(shape))

@@ -14,7 +14,6 @@ from fsf.simulate import (
     embed_spectral_watermark,
     generate_fake,
     letter_a_glyph,
-    make_tconv_stage,
     synth_real,
     upsample_nearest,
     upsample_tconv,
@@ -69,25 +68,23 @@ class TestUpsampleTconv:
     def test_deterministic_for_fixed_stage(self):
         rng = np.random.default_rng(3)
         img = rng.random((6, 6))
-        stage = make_tconv_stage(np.random.default_rng(42))
-        a = upsample_tconv(img, stage)
-        stage2 = make_tconv_stage(np.random.default_rng(42))
-        b = upsample_tconv(img, stage2)
+        a = upsample_tconv(img, PipelineConfig("tconv_conv", 1, 42, 6).stage(0))
+        b = upsample_tconv(img, PipelineConfig("tconv_conv", 1, 42, 6).stage(0))
         assert np.array_equal(a, b)
 
     def test_linear_mode_matches_zero_insert_conv_oracle(self):
         # the stage's linear part: its transposed convolution alone
         rng = np.random.default_rng(4)
         img = rng.integers(-4, 5, size=(5, 5)).astype(np.float64)
-        stage = make_tconv_stage(np.random.default_rng(7))
-        stage.tconv_kernel = np.rint(stage.tconv_kernel * 40)
-        out = transposed_conv2d(img[None], stage.tconv_kernel)[0]
-        expected = zero_insert_then_conv(img[None], stage.tconv_kernel)[0]
+        tconv = np.rint(PipelineConfig("tconv_conv", 1, 7, 5).stage(0)[0] * 40)
+        out = transposed_conv2d(img[None], tconv)[0]
+        expected = zero_insert_then_conv(img[None], tconv)[0]
         assert np.array_equal(out, expected)
 
     def test_output_shape_doubles(self):
-        stage = make_tconv_stage(np.random.default_rng(8))
-        out = upsample_tconv(np.zeros((5, 9)), stage)
+        kernels = PipelineConfig("tconv_conv", 1, 8, 5).stage(0)
+        assert [k.shape for k in kernels] == [(1, 1, 4, 4), (1, 1, 3, 3), (1, 1, 3, 3)]
+        out = upsample_tconv(np.zeros((5, 9)), kernels)
         assert out.shape == (10, 18)
 
 
@@ -201,8 +198,8 @@ class TestPipelines:
         a2 = generate_fake(1, pipe)
         b = generate_fake(2, pipe)
         assert np.array_equal(a1, a2)
-        kern1 = pipe.stage(0, image_seed=1).tconv_kernel
-        kern2 = pipe.stage(0, image_seed=2).tconv_kernel
+        kern1 = pipe.stage(0, image_seed=1)[0]
+        kern2 = pipe.stage(0, image_seed=2)[0]
         assert not np.array_equal(kern1, kern2)
         assert not np.array_equal(a1, b)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsf.errors import DataError, ParameterError
+from fsf.errors import DataError, NumericError, ParameterError
 from fsf.fileio import Manifest, ManifestEntry
 from fsf.forensics import DistortionConfig
 from fsf.model import ModelConfig
@@ -168,3 +168,18 @@ class TestAuc:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             auc_score([], [1.0])
+
+    def test_ties_match_brute_force_pair_count(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            pos = rng.integers(0, 6, size=rng.integers(1, 12)).astype(np.float64)
+            neg = rng.integers(0, 6, size=rng.integers(1, 12)).astype(np.float64)
+            wins = np.sum(pos[:, None] > neg[None, :]) + 0.5 * np.sum(pos[:, None] == neg[None, :])
+            assert auc_score(pos, neg) == wins / (pos.size * neg.size)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(NumericError):
+            auc_score([bad], [0.0])
+        with pytest.raises(NumericError):
+            auc_score([1.0, 2.0], [0.0, bad])

@@ -4,8 +4,8 @@ Each line is ``<name> <sha256>``.  The outputs are the detector's logits,
 features and gradients for five model configurations in float32 and
 float64, a 2-epoch 64 px training history with its checkpoint bytes, a
 small corpus with its ``features_export`` and ``average_spectrum_report``
-files, and ``evaluate`` of that checkpoint on the corpus under four
-distortions.  Two commits compute the same floats exactly when their lines
+files, the distortion stack's pixels on a few corpus images, and
+``evaluate`` of that checkpoint on the corpus under four distortions.  Two commits compute the same floats exactly when their lines
 match:
 
     PYTHONPATH=src python3 tools/fingerprint.py > before.txt   # commit A
@@ -30,8 +30,8 @@ import numpy as np
 
 from fsf.checkpoint import load_checkpoint, save_checkpoint
 from fsf.figures import average_spectrum_report, features_export
-from fsf.fileio import read_manifest
-from fsf.forensics import AugmentPolicy, DistortionConfig
+from fsf.fileio import read_image, read_manifest
+from fsf.forensics import AugmentPolicy, DistortionConfig, center_crop_pad, noise_residual
 from fsf.model import FractalCNN, ModelConfig, bce_with_logits
 from fsf.simulate import CorpusSpec, PipelineConfig, build_corpus
 from fsf.training import TrainConfig, evaluate, train
@@ -126,16 +126,31 @@ def corpus_lines(work, per_class):
     yield "corpus/average_spectrum_report", _tree_digest(os.path.join(work, "average"))
 
 
+DISTORTIONS = [
+    DistortionConfig("none"),
+    DistortionConfig("jpeg", jpeg_quality=95),
+    DistortionConfig("downsample"),
+    DistortionConfig("gaussian_blur", blur_sigma=1.0),
+]
+
+
+def distortion_lines(work, n_images):
+    """Pixels of each distortion, crop/pad and the noise residual on corpus images."""
+    manifest = read_manifest(os.path.join(work, "corpus", "manifest_test.csv"))
+    entries = sorted(manifest.entries, key=lambda e: e.path)[:n_images]
+    images = [read_image(manifest.resolve(e)) for e in entries]
+    for distortion in DISTORTIONS:
+        yield f"distort/{distortion.label}", _digest(*(distortion.apply(im).tobytes() for im in images))
+    for size in (40, 80):  # the corpus images are 64 px: crop, then reflect-pad
+        yield f"distort/crop{size}", _digest(*(center_crop_pad(im, size).tobytes() for im in images))
+    yield "distort/residual", _digest(*(noise_residual(im).tobytes() for im in images))
+
+
 def eval_lines(work):
     """``evaluate`` of the trained checkpoint on the corpus test manifest."""
     ckpt = load_checkpoint(os.path.join(work, "model.ckpt"))
     manifest = read_manifest(os.path.join(work, "corpus", "manifest_test.csv"))
-    for distortion in (
-        DistortionConfig("none"),
-        DistortionConfig("jpeg", jpeg_quality=95),
-        DistortionConfig("downsample"),
-        DistortionConfig("gaussian_blur", blur_sigma=1.0),
-    ):
+    for distortion in DISTORTIONS:
         result = evaluate(ckpt, manifest, distortion)
         yield f"eval/{result.distortion}", _digest(
             repr(sorted(result.per_pipeline.items())), repr(result.overall), result.n_images
@@ -149,11 +164,13 @@ def fingerprint(smoke: bool = False):
             yield from model_lines(SMOKE_MODELS)
             yield from train_lines(work, 16, 6, dict(channels=4, n_units=1, head_hidden=8))
             yield from corpus_lines(work, 2)
+            yield from distortion_lines(work, 2)
             yield from eval_lines(work)
         else:
             yield from model_lines(MODELS)
             yield from train_lines(work, 64, 20, dict(channels=32, n_units=2))
             yield from corpus_lines(work, 10)
+            yield from distortion_lines(work, 6)
             yield from eval_lines(work)
 
 
