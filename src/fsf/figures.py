@@ -29,7 +29,7 @@ from .spectral import (
     self_similarity_features,
     spectrum_of,
 )
-from .training import detector_input, read_detector_image
+from .training import detector_input
 
 
 def formation_grid(out_dir, seed: int, base_size: int = 28, stages: int = 3) -> list:
@@ -75,7 +75,6 @@ def average_spectrum_report(manifest: Manifest, out_dir, residual: bool = False)
     for entry in manifest.entries:
         groups.setdefault(entry.pipeline, []).append(entry)
 
-    residual_fn = noise_residual if residual else None
     rows = []
     for name in sorted(groups):
         entries = groups[name]
@@ -86,7 +85,7 @@ def average_spectrum_report(manifest: Manifest, out_dir, residual: bool = False)
                     f"{manifest.resolve(entry)} is {image.shape}, but the first image of "
                     f"group {name!r} ({manifest.resolve(entries[0])}) is {images[0].shape}"
                 )
-        avg = average_spectrum(images, residual_fn=residual_fn)
+        avg = average_spectrum(map(noise_residual, images) if residual else images)
         tag = "residual" if residual else "raw"
         filename = f"avg_{tag}_{name}.pgm"
         write_pgm(os.path.join(out_dir, filename), export_view(avg), bits=16)
@@ -122,8 +121,7 @@ def features_export(
 
     rows = []
     for entry in manifest.entries:
-        path = manifest.resolve(entry)
-        image = read_image(path) if model is None else read_detector_image(path)
+        image = read_image(manifest.resolve(entry))
         target = noise_residual(image) if residual else image
         stats = self_similarity_features(spectrum_of(target), levels, measure)
         row = [entry.path, entry.label, entry.pipeline]

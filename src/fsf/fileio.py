@@ -1,8 +1,9 @@
 """Portable pixmap/graymap I/O, corpus manifests, and result tables.
 
 Images are binary netpbm files.  The toolkit writes P5 graymaps and reads
-P5 graymaps and P6 (three-channel) pixmaps.  Sixteen-bit samples are
-big-endian per the netpbm convention.  Manifests are UTF-8 CSV with the header
+P5 graymaps and P6 pixmaps, both as (H, W) graymaps: a pixmap becomes its
+ITU-R BT.601 luma plane.  Sixteen-bit samples are big-endian per the netpbm
+convention.  Manifests are UTF-8 CSV with the header
 ``path,label,pipeline,seed``; paths are stored relative to the manifest file.
 """
 
@@ -14,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, NumericError
 
 LABELS = ("real", "generated")
+LUMA = (0.299, 0.587, 0.114)  # ITU-R BT.601 weights of R, G and B
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +30,8 @@ def write_pgm(path, image: np.ndarray, bits: int = 8) -> None:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise FormatError(f"P5 wants an H x W array, got shape {image.shape}")
+    if not np.isfinite(image).all():
+        raise NumericError(f"{path}: image has non-finite pixels")
     if bits not in (8, 16):
         raise FormatError(f"sample depth must be 8 or 16 bits, got {bits}")
     maxval = (1 << bits) - 1
@@ -40,9 +44,9 @@ def write_pgm(path, image: np.ndarray, bits: int = 8) -> None:
 
 
 def read_image(path) -> np.ndarray:
-    """Read a binary P5/P6 file into floats in [0, 1].
+    """Read a binary P5/P6 file as an H x W float64 graymap in [0, 1].
 
-    Returns H x W for graymaps and 3 x H x W for pixmaps.
+    A P6 pixmap is read as its luma plane ``pixels @ LUMA``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -82,8 +86,8 @@ def read_image(path) -> np.ndarray:
     if len(rest) - pos < count * dtype.itemsize:
         raise FormatError(f"{path}: truncated pixel data")
     raw = np.frombuffer(rest, dtype=dtype, count=count, offset=pos)
-    planes = raw.reshape(h, w, channels).transpose(2, 0, 1).astype(np.float64) / maxval
-    return planes[0] if channels == 1 else planes
+    pixels = raw.reshape(h, w, channels).astype(np.float64) / maxval
+    return pixels[..., 0] if channels == 1 else pixels @ np.array(LUMA)
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,9 @@ def _graymap(image: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def noise_residual(image: np.ndarray, k: int = 7) -> np.ndarray:
-    """Image minus its median-blurred version; (C, H, W) input per channel."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 3:
-        return np.stack([plane - median_filter(plane, k) for plane in image])
-    return _graymap(image) - median_filter(image, k)
+    """Graymap minus its median-blurred version."""
+    image = _graymap(image)
+    return image - median_filter(image, k)
 
 
 # ---------------------------------------------------------------------------

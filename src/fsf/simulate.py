@@ -264,8 +264,18 @@ class CorpusSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if self.size < 2:
+            raise ParameterError(f"size must be >= 2, got {self.size}")
+        for name in ("n_train_real", "n_train_fake", "n_test_real", "n_test_fake"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.sensor_noise < np.inf:
+            raise ParameterError(f"sensor_noise must be finite and >= 0, got {self.sensor_noise}")
         self.holdout = tuple(self.holdout)
-        self.exponent_for(0)  # rejects an exponent that is neither a number nor a (lo, hi) pair
+        e = self.spectral_exponent
+        lo, hi = (e, e) if np.isscalar(e) else e  # raises unless a number or a (lo, hi) pair
+        if not -np.inf < float(lo) <= float(hi) < np.inf:
+            raise ParameterError(f"spectral_exponent must be finite with lo <= hi, got {e}")
         names = [p.name for p in self.pipelines]
         if len(set(names)) != len(names):
             raise ParameterError(f"pipeline names must be unique, got {names}")

@@ -113,20 +113,12 @@ def self_similarity_features(
     return np.array([self_similarity(lv, measure) for lv in fractal_pyramid(spectrum, n_levels)])
 
 
-def average_spectrum(images, residual_fn=None) -> np.ndarray:
-    """Elementwise mean of per-image magnitude spectra.
-
-    ``images`` is any iterable of equally sized arrays.  When ``residual_fn``
-    is given it is applied to each image first (e.g. a noise-residual
-    extractor), so the average is taken over residual spectra instead.
-    """
+def average_spectrum(images) -> np.ndarray:
+    """Elementwise mean of the magnitude spectra of equally sized images."""
     total = None
     count = 0
     for image in images:
-        image = np.asarray(image, dtype=np.float64)
-        if residual_fn is not None:
-            image = residual_fn(image)
-        mag = spectrum_of(image)
+        mag = spectrum_of(np.asarray(image, dtype=np.float64))
         if total is None:
             total = mag
         elif total.shape != mag.shape:

@@ -16,7 +16,7 @@ import numpy as np
 from .checkpoint import ModelCheckpoint
 from .errors import DataError, NumericError, ParameterError
 from .fileio import Manifest, read_image
-from .forensics import AugmentPolicy, DistortionConfig, center_crop_pad, draw_augment_plan, apply_augment_plan, noise_residual
+from .forensics import AugmentPolicy, DistortionConfig, apply_augment_plan, draw_augment_plan, noise_residual
 from .model import FractalCNN, ModelConfig, bce_with_logits
 from .parallel import parallel_map
 
@@ -81,27 +81,19 @@ class EpochStats:
 # Dataset plumbing
 # ---------------------------------------------------------------------------
 
-def read_detector_image(path) -> np.ndarray:
-    """``read_image`` for the detector, which takes H x W graymaps only."""
-    image = read_image(path)
-    if image.ndim != 2:
-        raise DataError(f"{path}: the detector takes H x W graymaps, got shape {image.shape}")
-    return image
-
-
 def _load_raw(manifest: Manifest):
     """Read every manifest image; label 1 = generated."""
     if len(manifest) == 0:
         raise DataError("manifest is empty")
-    images = parallel_map(lambda e: read_detector_image(manifest.resolve(e)), manifest.entries)
+    images = parallel_map(lambda e: read_image(manifest.resolve(e)), manifest.entries)
     labels = np.array([1.0 if e.label == "generated" else 0.0 for e in manifest.entries])
     return images, labels
 
 
-def detector_input(image, input_size: int, residual_kernel: int) -> np.ndarray:
-    """Evaluation, validation and feature-export preprocessing: crop/pad,
-    then the noise residual."""
-    return noise_residual(center_crop_pad(image, input_size), residual_kernel)
+def detector_input(image, size: int, kernel: int, distortions=()) -> np.ndarray:
+    """What the detector sees of a graymap: the distortions in order, then
+    crop/pad to ``size``, then the noise residual with window ``kernel``."""
+    return noise_residual(apply_augment_plan(image, distortions, size), kernel)
 
 
 def train(
@@ -151,7 +143,7 @@ def train(
             batch = []
             for i in batch_idx:
                 plan = draw_augment_plan(train_cfg.augment, epoch_rng)
-                batch.append(noise_residual(apply_augment_plan(images[i], plan, size), kernel))
+                batch.append(detector_input(images[i], size, kernel, plan))
             x = np.stack(batch)[..., None]
             y = labels[batch_idx]
 
@@ -253,8 +245,8 @@ def evaluate(
     entries = sorted(manifest.entries, key=lambda e: e.path)
 
     def prep(entry):
-        img = distortion.apply(read_detector_image(manifest.resolve(entry)))
-        return detector_input(img, size, checkpoint.residual_kernel)
+        image = read_image(manifest.resolve(entry))
+        return detector_input(image, size, checkpoint.residual_kernel, (distortion,))
 
     prepped = parallel_map(prep, entries)
     x = np.stack(prepped)[..., None]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from fsf.cli import load_config, main, parse_distortion
@@ -121,6 +122,13 @@ PROBES = {
     "beta1_one": lambda c: c["train"].update(beta1=1.0),
     "beta2_above_one": lambda c: c["train"].update(beta2=1.5),
     "adam_eps_negative": lambda c: c["train"].update(adam_eps=-1),
+    "size_zero": lambda c: c["corpus"].update(size=0, pipelines=[], holdout=[], n_train_fake=0),
+    "size_negative": lambda c: c["corpus"].update(size=-4, pipelines=[], holdout=[], n_train_fake=0),
+    "n_train_real_negative": lambda c: c["corpus"].update(n_train_real=-3),
+    "sensor_noise_negative": lambda c: c["corpus"].update(sensor_noise=-0.5),
+    "sensor_noise_nan": lambda c: c["corpus"].update(sensor_noise=float("nan")),
+    "spectral_exponent_reversed": lambda c: c["corpus"].update(spectral_exponent=[1.3, 0.75]),
+    "spectral_exponent_infinite": lambda c: c["corpus"].update(spectral_exponent=float("inf")),
 }
 
 
@@ -133,6 +141,7 @@ def test_bad_config_rejected(tmp_path, capsys, probe):
         load_config(path)
     assert main(["simulate", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 class TestSimulateCommand:
@@ -287,6 +296,16 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
+    def test_overflowing_exponent_returns_4_and_writes_no_manifest(self, tmp_path, capsys):
+        # frequency ** -400 overflows, so the power-law envelope is infinite and the field NaN
+        path, cfg = experiment_config(tmp_path)
+        cfg["corpus"]["spectral_exponent"] = 400
+        path.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            assert main(["simulate", "--config", str(path)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not list((tmp_path / "corpus").glob("manifest_*.csv"))
+
     def test_missing_manifest_returns_3(self, tmp_path, capsys):
         path, _ = experiment_config(tmp_path)
         assert main(["train", "--config", str(path)]) == 3  # corpus never built
@@ -308,13 +327,15 @@ class TestExitCodes:
         assert "residual_kernel" in capsys.readouterr().err
 
 
-def write_p6(image):
-    image.write_bytes(b"P6\n32 32\n255\n" + bytes(32 * 32 * 3))
+def write_p6(path, gray=None):
+    """A 32 px P6 file: black, or ``gray`` (8-bit samples) in all three channels."""
+    samples = bytes(32 * 32) if gray is None else gray
+    path.write_bytes(b"P6\n32 32\n255\n" + np.repeat(np.frombuffer(samples, "u1"), 3).tobytes())
 
 
 @pytest.fixture
 def p6_corpus(tmp_path):
-    """A corpus whose first real train and test images are three-channel P6 files."""
+    """A corpus whose first real train and test images are P6 files."""
     path, _ = experiment_config(tmp_path)
     assert main(["simulate", "--config", str(path)]) == 0
     for split in ("train", "test"):
@@ -323,25 +344,27 @@ def p6_corpus(tmp_path):
 
 
 class TestMultiChannelImages:
-    """The detector takes H x W graymaps; the model-free commands also read P6."""
+    """Every command reads a P6 pixmap as its luma graymap."""
 
-    def test_train_returns_3(self, p6_corpus, capsys):
-        _, path = p6_corpus
-        assert main(["train", "--config", str(path)]) == 3
-        assert "train_real_00000.pgm" in capsys.readouterr().err
+    def test_train_reads_p6(self, p6_corpus):
+        tmp_path, path = p6_corpus
+        assert main(["train", "--config", str(path)]) == 0
+        assert (tmp_path / "run" / "checkpoint.ckpt").exists()
 
-    def test_eval_returns_3(self, p6_corpus, workspace, capsys):
-        _, path = p6_corpus
+    def test_eval_reads_p6(self, p6_corpus, workspace):
+        tmp_path, path = p6_corpus
         ckpt = workspace[0] / "run" / "checkpoint.ckpt"
-        assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt)]) == 3
-        assert "test_real_00000.pgm" in capsys.readouterr().err
+        assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
+        assert (tmp_path / "run" / "eval_grid.csv").exists()
 
-    def test_features_with_checkpoint_returns_3_and_without_reads_p6(self, p6_corpus, workspace):
+    def test_features_reads_p6_with_and_without_checkpoint(self, p6_corpus, workspace):
         tmp_path, _ = p6_corpus
-        args = ["features", "--manifest", str(tmp_path / "corpus" / "manifest_test.csv"),
-                "--out", str(tmp_path / "features.csv")]
+        manifest = tmp_path / "corpus" / "manifest_test.csv"
+        out = tmp_path / "features.csv"
+        args = ["features", "--manifest", str(manifest), "--out", str(out)]
         ckpt = workspace[0] / "run" / "checkpoint.ckpt"
-        assert main(args + ["--checkpoint", str(ckpt)]) == 3
+        assert main(args + ["--checkpoint", str(ckpt)]) == 0
+        assert len(out.read_text().splitlines()) == len(manifest.read_text().splitlines())
         assert main(args) == 0
 
     def test_features_failing_partway_leaves_no_table(self, tmp_path, workspace):
@@ -349,7 +372,7 @@ class TestMultiChannelImages:
         assert main(["simulate", "--config", str(path)]) == 0
         manifest = tmp_path / "corpus" / "manifest_test.csv"
         third = manifest.read_text().splitlines()[3].split(",")[0]
-        write_p6(tmp_path / "corpus" / third)
+        (tmp_path / "corpus" / third).write_bytes(b"P5\n32 32\n255\n" + bytes(10))
         out = tmp_path / "features.csv"
         ckpt = workspace[0] / "run" / "checkpoint.ckpt"
         assert main(["features", "--manifest", str(manifest), "--out", str(out),
@@ -357,7 +380,30 @@ class TestMultiChannelImages:
         assert not out.exists()
 
     def test_spectrum_of_group_mixing_p5_and_p6_returns_3(self, p6_corpus, capsys):
+        # the P6 file reads at the group's size; the 16 px P5 file does not
         tmp_path, _ = p6_corpus
+        small = tmp_path / "corpus" / "images" / "test_real_00001.pgm"
+        small.write_bytes(b"P5\n16 16\n255\n" + bytes(16 * 16))
         assert main(["spectrum", "--manifest", str(tmp_path / "corpus" / "manifest_test.csv"),
                      "--out", str(tmp_path / "spectra")]) == 3
-        assert "test_real_00001.pgm" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "test_real_00001.pgm" in err and "data error" in err
+
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_spectrum_of_all_p6_group_matches_its_graymaps(self, tmp_path, capsys, residual):
+        path, _ = experiment_config(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 0
+        manifest = str(tmp_path / "corpus" / "manifest_test.csv")
+        flags = ["--residual"] if residual else []
+        capsys.readouterr()
+        assert main(["spectrum", "--manifest", manifest, "--out", str(tmp_path / "p5")] + flags) == 0
+        p5_rows = capsys.readouterr().out
+        for image in (tmp_path / "corpus" / "images").glob("test_real_*.pgm"):
+            data = image.read_bytes()
+            assert data.startswith(b"P5\n32 32\n255\n")
+            write_p6(image, data[len(b"P5\n32 32\n255\n"):])
+        assert main(["spectrum", "--manifest", manifest, "--out", str(tmp_path / "p6")] + flags) == 0
+        tag = "residual" if residual else "raw"
+        assert (tmp_path / "p6" / f"avg_{tag}_real.pgm").exists()
+        # a gray pixmap's luma is its gray level, so the report is the graymaps'
+        assert capsys.readouterr().out == p5_rows

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fsf.errors import DataError, FormatError
+from fsf.errors import DataError, FormatError, NumericError
 from fsf.fileio import (
+    LUMA,
     Manifest,
     ManifestEntry,
     format_table,
@@ -41,15 +42,21 @@ class TestNetpbm:
         assert payload[header_end:header_end + 4] == b"\xff\xff\x00\x00"
 
     def test_ppm_round_trip(self, tmp_path):
-        # the toolkit writes no P6, so the file is written by hand: interleaved RGB
+        # the toolkit writes no P6, so the files are written by hand: interleaved RGB
         rng = np.random.default_rng(2)
-        img = rng.random((3, 4, 5))
-        samples = np.rint(img * 255).astype("u1").transpose(1, 2, 0)
-        path = tmp_path / "d.ppm"
-        path.write_bytes(b"P6\n5 4\n255\n" + samples.tobytes())
-        back = read_image(path)
-        assert back.shape == (3, 4, 5)
-        assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
+        rgb = rng.random((4, 5, 3))
+        for maxval, dtype in ((255, "u1"), (65535, ">u2")):
+            path = tmp_path / f"d{maxval}.ppm"
+            path.write_bytes(b"P6\n5 4\n%d\n" % maxval + np.rint(rgb * maxval).astype(dtype).tobytes())
+            back = read_image(path)
+            assert back.shape == (4, 5)
+            assert np.max(np.abs(back - rgb @ np.array(LUMA))) <= 0.5 / maxval + 1e-12
+
+    def test_non_finite_pixels_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "nan.pgm"
+        with pytest.raises(NumericError):
+            write_pgm(path, np.array([[0.5, np.nan]]))
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "e.pgm"

@@ -41,12 +41,6 @@ class TestNoiseResidual:
 
         assert np.array_equal(noise_residual(img), img - median_filter(img, 7))
 
-    def test_multichannel(self):
-        rng = np.random.default_rng(2)
-        img = rng.random((3, 10, 10))
-        res = noise_residual(img)
-        assert res.shape == img.shape
-
 
 class TestJpeg:
     def test_quality_100_steps_are_all_one(self):
@@ -259,8 +253,9 @@ class TestDistortionConfig:
         lambda x: gaussian_blur(x, 1.0),
         downsample,
         lambda x: center_crop_pad(x, 8),
+        noise_residual,
     ],
-    ids=["jpeg", "blur", "downsample", "crop"],
+    ids=["jpeg", "blur", "downsample", "crop", "residual"],
 )
 @pytest.mark.parametrize("shape", [(3, 16, 16), (16,)])
 def test_distortions_take_graymaps_only(distort, shape):
