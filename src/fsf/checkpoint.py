@@ -6,12 +6,17 @@ Layout (all integers little-endian):
     version          u32
     header length    u32, then that many bytes of canonical JSON: an
                      object with exactly "config" (asdict of the
-                     ModelConfig) and "metadata" (training metadata)
+                     ModelConfig, the residual window included) and
+                     "metadata" (free-form provenance that loading
+                     checks is an object and does not read)
     parameter count  u32
     per parameter    u16 name length, name bytes, u8 ndim, u32 dims...,
                      float64 little-endian data (parameters are sorted
                      by name)
     checksum         u32 CRC32 of everything above
+
+Version 1 files kept the residual window in the metadata; they are refused
+rather than loaded with a guessed window.
 
 Parameters are stored as float64 regardless of the training dtype; the
 config records the dtype and loading casts back, so a save/load round trip
@@ -32,7 +37,7 @@ from .errors import FormatError, build, check_type
 from .model import FractalCNN, ModelConfig
 
 MAGIC = b"FSFCKPT1"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
@@ -40,11 +45,6 @@ class ModelCheckpoint:
     config: ModelConfig
     params: dict
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def residual_kernel(self) -> int:
-        """Median window of the noise residual the model was trained on (7 if unrecorded)."""
-        return self.metadata.get("residual_kernel", 7)
 
     def build_model(self) -> FractalCNN:
         model = FractalCNN(self.config)
@@ -103,11 +103,6 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise FormatError(f"{path}: header must be an object with exactly config and metadata")
     config = build(ModelConfig, header["config"], f"{path}: config", FormatError)
     metadata = check_type(header["metadata"], dict, f"{path}: metadata", FormatError)
-    kernel = metadata.get("residual_kernel", 7)
-    if type(kernel) is not int or kernel < 1 or kernel % 2 == 0:
-        raise FormatError(
-            f"{path}: metadata residual_kernel must be an odd int >= 1, got {kernel!r:.60}"
-        )
     params = {}
     try:
         (n_params,) = struct.unpack_from("<I", body, pos)

@@ -293,10 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
+    def common(p, config=True, seed=True):
+        if config:
             p.add_argument("--config", required=True, help="experiment config (JSON)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
 
     p = sub.add_parser("simulate", help="build the synthetic corpus")
@@ -304,19 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("demo-fractal", help="emit the spectrum replication grid")
-    common(p, config_required=False)
+    common(p, config=False)
     p.add_argument("--base-size", type=int, default=28)
     p.add_argument("--stages", type=int, default=3)
     p.set_defaults(func=cmd_demo_fractal)
 
     p = sub.add_parser("spectrum", help="average-spectrum figures for a manifest")
-    common(p, config_required=False)
+    common(p, config=False, seed=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--residual", action="store_true", help="average residual spectra")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("features", help="export self-similarity features as CSV")
-    common(p, config_required=False)
+    common(p, config=False, seed=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--measure", choices=("mean", "logmean"), default="logmean")

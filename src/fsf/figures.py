@@ -127,9 +127,7 @@ def features_export(
         row = [entry.path, entry.label, entry.pipeline]
         row += [f"{s:.8g}" for s in stats]
         if model is not None:
-            prepped = detector_input(
-                image, checkpoint.config.input_size, checkpoint.residual_kernel
-            )
+            prepped = detector_input(image, checkpoint.config)
             vec = model.features(prepped[None, :, :, None])[0]
             row += [f"{v:.8g}" for v in vec]
         rows.append(row)

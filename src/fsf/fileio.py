@@ -46,7 +46,8 @@ def write_pgm(path, image: np.ndarray, bits: int = 8) -> None:
 def read_image(path) -> np.ndarray:
     """Read a binary P5/P6 file as an H x W float64 graymap in [0, 1].
 
-    A P6 pixmap is read as its luma plane ``pixels @ LUMA``.
+    A P6 pixmap is read as its luma plane ``pixels @ LUMA``.  A sample above
+    the header's maxval is a ``FormatError``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -86,6 +87,8 @@ def read_image(path) -> np.ndarray:
     if len(rest) - pos < count * dtype.itemsize:
         raise FormatError(f"{path}: truncated pixel data")
     raw = np.frombuffer(rest, dtype=dtype, count=count, offset=pos)
+    if maxval not in (255, 65535) and raw.max() > maxval:  # those two fill their sample type
+        raise FormatError(f"{path}: sample {raw.max()} above maxval {maxval}")
     pixels = raw.reshape(h, w, channels).astype(np.float64) / maxval
     return pixels[..., 0] if channels == 1 else pixels @ np.array(LUMA)
 

@@ -46,27 +46,27 @@ from .ops import (
 from .spectral import quadrant_average, quadrant_split
 
 BRANCH_NAMES = ("q00", "q01", "q10", "q11")
+LEAKY_SLOPE = 0.2  # every leaky ReLU, and the gain of the Kaiming init
+NORM_EPS = 1e-5  # variance floor of instance norm and of the spectrum standardization
+MAG_EPS = 1e-12  # magnitude floor of the spectrum's backward pass
 
 
 @dataclass
 class ModelConfig:
-    """Detector hyperparameters (defaults match the reference setup)."""
+    """The whole detector (defaults match the reference setup): it sees the
+    noise residual, with median window ``residual_kernel``, of an
+    ``input_size`` crop of a graymap."""
 
-    in_channels: int = 1
     channels: int = 32
     n_units: int = 2
     input_size: int = 64
-    leaky_slope: float = 0.2
+    residual_kernel: int = 7
     head_hidden: int = 64
-    norm_eps: float = 1e-5
-    mag_eps: float = 1e-12
     dtype: str = "float32"
 
     def __post_init__(self):
-        if min(self.in_channels, self.channels, self.head_hidden) < 1:
-            raise ParameterError("in_channels, channels and head_hidden must be >= 1")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ParameterError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
+        if min(self.channels, self.head_hidden) < 1:
+            raise ParameterError("channels and head_hidden must be >= 1")
         if not 0 <= self.n_units <= 4:
             raise ParameterError(f"n_units must be in 0..4, got {self.n_units}")
         if self.input_size < 2:
@@ -75,10 +75,11 @@ class ModelConfig:
             raise ParameterError(
                 f"input_size {self.input_size} not divisible by 2^{self.n_units}"
             )
-        if not 0.0 < self.norm_eps < float("inf"):
-            raise ParameterError(f"norm_eps must be positive and finite, got {self.norm_eps}")
-        if not 0.0 <= self.mag_eps < float("inf"):
-            raise ParameterError(f"mag_eps must be >= 0 and finite, got {self.mag_eps}")
+        if not (1 <= self.residual_kernel <= self.input_size and self.residual_kernel % 2):
+            raise ParameterError(
+                f"residual_kernel must be odd, >= 1 and <= input_size {self.input_size}, "
+                f"got {self.residual_kernel}"
+            )
         if self.dtype not in ("float32", "float64"):
             raise ParameterError(f"dtype must be float32 or float64, got {self.dtype}")
 
@@ -103,7 +104,7 @@ class FractalCNN:
 
     def _init_params(self, rng: np.random.Generator):
         cfg = self.config
-        gain = np.sqrt(2.0 / (1.0 + cfg.leaky_slope ** 2))
+        gain = np.sqrt(2.0 / (1.0 + LEAKY_SLOPE ** 2))
         dt = cfg.np_dtype
 
         def kaiming(shape, fan_in):
@@ -119,7 +120,7 @@ class FractalCNN:
             else:
                 self.params[f"{name}_b"] = np.zeros(c_out, dtype=dt)
 
-        add_conv("sp1", cfg.in_channels, cfg.channels, True)
+        add_conv("sp1", 1, cfg.channels, True)
         add_conv("sp2", cfg.channels, cfg.channels, True)
         add_conv("fq1", cfg.channels, cfg.channels, True)
         add_conv("fq2", cfg.channels, cfg.channels, True)
@@ -156,15 +157,15 @@ class FractalCNN:
         """
         p = self.params
         z = conv3x3_nhwc(x, p[f"{name}_w"], None)
-        n, norm_cache = instance_norm_nhwc(z, p[f"{name}_g"], p[f"{name}_beta"], self.config.norm_eps)
-        y = leaky_relu(n, self.config.leaky_slope)
+        n, norm_cache = instance_norm_nhwc(z, p[f"{name}_g"], p[f"{name}_beta"], NORM_EPS)
+        y = leaky_relu(n, LEAKY_SLOPE)
         if keep:
             cache[name] = (x, n, norm_cache)
         return y
 
     def _conv_norm_act_backward(self, upstream, name, cache, grads, need_input=True):
         x, n, norm_cache = cache[name]
-        dn = leaky_relu_backward(n, upstream, self.config.leaky_slope)
+        dn = leaky_relu_backward(n, upstream, LEAKY_SLOPE)
         dz, dg, dbeta = instance_norm_nhwc_backward(norm_cache, dn)
         dx, dw, _ = conv3x3_nhwc_backward(
             x, self.params[f"{name}_w"], dz, need_input_grad=need_input
@@ -195,13 +196,12 @@ class FractalCNN:
         channel-first view, and the output is a channel-last view of
         ``shat``: the next conv pads (copies) its input anyway.
         """
-        eps = self.config.norm_eps
         z = dft2(x.transpose(0, 3, 1, 2))  # (B,C,H,W)
         mag = np.abs(z)
         lg = np.log1p(mag)
         mu = lg.mean(axis=(2, 3), keepdims=True)
         var = lg.var(axis=(2, 3), keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
         shat = (lg - mu) * inv
         out = shat.transpose(0, 2, 3, 1).astype(x.dtype, copy=False)
         if keep:
@@ -215,7 +215,7 @@ class FractalCNN:
         mean_ds = (ds * shat).mean(axis=(2, 3), keepdims=True)
         dlg = inv * (ds - mean_d - shat * mean_ds)
         dmag = dlg / (1.0 + mag)
-        dt = magnitude_backward(z, mag, dmag, self.config.mag_eps)
+        dt = magnitude_backward(z, mag, dmag, MAG_EPS)
         return np.ascontiguousarray(dt.transpose(0, 2, 3, 1)).astype(upstream.dtype, copy=False)
 
     # -- stages -----------------------------------------------------------
@@ -242,13 +242,11 @@ class FractalCNN:
     # -- full passes ------------------------------------------------------
 
     def forward(self, x: np.ndarray, keep_cache: bool = True):
-        """Batched forward pass (B, H, W, C) -> logits (B,) plus cache."""
+        """Batched forward pass (B, H, W, 1) -> logits (B,) plus cache."""
         cfg = self.config
         x = np.asarray(x, dtype=cfg.np_dtype)
-        if x.ndim != 4 or x.shape[3] != cfg.in_channels:
-            raise DimensionError(
-                f"expected (B, H, W, {cfg.in_channels}) input, got {x.shape}"
-            )
+        if x.ndim != 4 or x.shape[3] != 1:
+            raise DimensionError(f"expected (B, H, W, 1) input, got {x.shape}")
         if x.shape[1] != cfg.input_size or x.shape[2] != cfg.input_size:
             raise DimensionError(
                 f"model wants {cfg.input_size}x{cfg.input_size} input, got "
@@ -264,7 +262,7 @@ class FractalCNN:
 
         feats = np.concatenate(level_vectors, axis=1)
         pre = feats @ self.params["head1_w"] + self.params["head1_b"]
-        act = leaky_relu(pre, cfg.leaky_slope)
+        act = leaky_relu(pre, LEAKY_SLOPE)
         logits = (act @ self.params["head2_w"] + self.params["head2_b"])[:, 0]
         if keep_cache:
             cache["final_shape"] = h.shape
@@ -286,7 +284,7 @@ class FractalCNN:
         dact = dlogits[:, None] @ self.params["head2_w"].T
         grads["head2_w"] = act.T @ dlogits[:, None]
         grads["head2_b"] = np.array([dlogits.sum()], dtype=cfg.np_dtype)
-        dpre = leaky_relu_backward(pre, dact, cfg.leaky_slope)
+        dpre = leaky_relu_backward(pre, dact, LEAKY_SLOPE)
         grads["head1_w"] = feats.T @ dpre
         grads["head1_b"] = dpre.sum(axis=0)
         dfeats = dpre @ self.params["head1_w"].T

@@ -118,7 +118,7 @@ def letter_a_glyph(h: int, w_half: int) -> np.ndarray:
                 mask[top + row, xi] = 1.0
     bar = top + (2 * gh) // 3
     for xi in range(int(apex - gw // 3), int(apex + gw // 3) + 1):
-        if 0 <= xi < w_half:
+        if bar < h and 0 <= xi < w_half:
             mask[bar, xi] = 1.0
     return mask
 

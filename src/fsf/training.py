@@ -32,7 +32,6 @@ class TrainConfig:
     val_fraction: float = 0.1
     patience: int = 2
     seed: int = 0
-    residual_kernel: int = 7
     augment: AugmentPolicy | None = None
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class TrainConfig:
                 raise ParameterError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not 0.0 < self.adam_eps < float("inf"):
             raise ParameterError(f"adam_eps must be positive and finite, got {self.adam_eps}")
-        if self.residual_kernel < 1 or self.residual_kernel % 2 == 0:
-            raise ParameterError(f"residual_kernel must be odd and positive, got {self.residual_kernel}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ParameterError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.patience < 1:
@@ -90,10 +87,12 @@ def _load_raw(manifest: Manifest):
     return images, labels
 
 
-def detector_input(image, size: int, kernel: int, distortions=()) -> np.ndarray:
-    """What the detector sees of a graymap: the distortions in order, then
-    crop/pad to ``size``, then the noise residual with window ``kernel``."""
-    return noise_residual(apply_augment_plan(image, distortions, size), kernel)
+def detector_input(image, config: ModelConfig, distortions=()) -> np.ndarray:
+    """What the detector of ``config`` sees of a graymap: the distortions in
+    order, then crop/pad to its input size, then the noise residual with its
+    window."""
+    cropped = apply_augment_plan(image, distortions, config.input_size)
+    return noise_residual(cropped, config.residual_kernel)
 
 
 def train(
@@ -117,9 +116,7 @@ def train(
     if len(train_idx) == 0:
         raise DataError("validation split consumed every image")
 
-    size = model_cfg.input_size
-    kernel = train_cfg.residual_kernel
-    val_x = np.stack([detector_input(images[i], size, kernel) for i in val_idx])[..., None]
+    val_x = np.stack([detector_input(images[i], model_cfg) for i in val_idx])[..., None]
     val_y = labels[val_idx]
 
     model = FractalCNN(model_cfg, seed=train_cfg.seed)
@@ -143,7 +140,7 @@ def train(
             batch = []
             for i in batch_idx:
                 plan = draw_augment_plan(train_cfg.augment, epoch_rng)
-                batch.append(detector_input(images[i], size, kernel, plan))
+                batch.append(detector_input(images[i], model_cfg, plan))
             x = np.stack(batch)[..., None]
             y = labels[batch_idx]
 
@@ -199,7 +196,6 @@ def train(
             "seed": train_cfg.seed,
             "val_loss": float(best_loss),
             "epochs_run": len(history),
-            "residual_kernel": train_cfg.residual_kernel,
         },
     )
     return checkpoint, history
@@ -241,12 +237,11 @@ def evaluate(
         raise DataError("evaluation manifest is empty")
     distortion = distortion or DistortionConfig("none")
     model = checkpoint.build_model()
-    size = checkpoint.config.input_size
     entries = sorted(manifest.entries, key=lambda e: e.path)
 
     def prep(entry):
         image = read_image(manifest.resolve(entry))
-        return detector_input(image, size, checkpoint.residual_kernel, (distortion,))
+        return detector_input(image, checkpoint.config, (distortion,))
 
     prepped = parallel_map(prep, entries)
     x = np.stack(prepped)[..., None]

@@ -54,7 +54,7 @@ def seed_manifest(path):
 
 
 def seed_checkpoint(path):
-    cfg = ModelConfig(channels=1, n_units=1, input_size=4, head_hidden=1)
+    cfg = ModelConfig(channels=1, n_units=1, input_size=4, residual_kernel=3, head_hidden=1)
     save_checkpoint(path, ModelCheckpoint(cfg, FractalCNN(cfg).copy_params(), {"epoch": 1}))
 
 

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from fsf.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
+from fsf.checkpoint import VERSION, ModelCheckpoint, load_checkpoint, save_checkpoint
 from fsf.errors import FormatError
 from fsf.model import FractalCNN, ModelConfig
 
@@ -93,9 +93,9 @@ def split_checkpoint(path):
     return json.loads(body[16:16 + header_len]), body[16 + header_len:]
 
 
-def join_checkpoint(header, blocks):
+def join_checkpoint(header, blocks, version=VERSION):
     header_bytes = json.dumps(header).encode("utf-8")
-    return b"FSFCKPT1" + struct.pack("<II", 1, len(header_bytes)) + header_bytes + blocks
+    return b"FSFCKPT1" + struct.pack("<II", version, len(header_bytes)) + header_bytes + blocks
 
 
 class TestMalformedContent:
@@ -108,13 +108,14 @@ class TestMalformedContent:
             lambda h: h["config"].update(dropout=0.5),
             lambda h: h["config"].update(channels="a"),
             lambda h: h.update(metadata=[1]),
-            # the residual window must be an odd int >= 1; true would be window 1
-            *[lambda h, k=k: h["metadata"].update(residual_kernel=k)
-              for k in ("x", 2.5, None, 4, -3, True)],
+            # the residual window must be an odd int in 1..input_size; true would be window 1
+            *[lambda h, k=k: h["config"].update(residual_kernel=k)
+              for k in ("x", 2.5, None, 4, -3, True, 17)],
         ],
         ids=["no_config", "no_metadata", "extra_key", "unknown_config_key",
              "config_type", "metadata_not_object", "kernel_str", "kernel_float",
-             "kernel_null", "kernel_even", "kernel_negative", "kernel_bool"],
+             "kernel_null", "kernel_even", "kernel_negative", "kernel_bool",
+             "kernel_above_input_size"],
     )
     def test_bad_header_rejected(self, tmp_path, edit):
         path = tmp_path / "m.ckpt"
@@ -123,6 +124,21 @@ class TestMalformedContent:
         edit(header)
         resign(path, join_checkpoint(header, blocks))
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_header_probe_passes_unedited(self, tmp_path):
+        # the probes above fail for their edit, not for the rewrite
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        resign(path, join_checkpoint(*split_checkpoint(path)))
+        assert load_checkpoint(path).config == small_checkpoint().config
+
+    def test_version_1_rejected(self, tmp_path):
+        # version 1 kept the residual window in the metadata
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        resign(path, join_checkpoint(*split_checkpoint(path), version=1))
+        with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
     # The blocks start: u32 count, then u16 name length, name, u8 ndim, u32 dims.

@@ -112,12 +112,11 @@ PROBES = {
     "pipeline_seed_negative": lambda c: c["corpus"]["pipelines"][0].update(seed=-1),
     "channels_zero": lambda c: c["model"].update(channels=0),
     "head_hidden_zero": lambda c: c["model"].update(head_hidden=0),
-    "in_channels_zero": lambda c: c["model"].update(in_channels=0),
-    "leaky_slope_zero": lambda c: c["model"].update(leaky_slope=0),
-    "leaky_slope_one": lambda c: c["model"].update(leaky_slope=1.0),
+    "in_channels_unknown": lambda c: c["model"].update(in_channels=1),
     "lr_negative": lambda c: c["train"].update(lr=-1),
-    "residual_kernel_even": lambda c: c["train"].update(residual_kernel=4),
-    "norm_eps_negative": lambda c: c["model"].update(norm_eps=-1),
+    "residual_kernel_even": lambda c: c["model"].update(residual_kernel=4),
+    "residual_kernel_above_input_size": lambda c: c["model"].update(residual_kernel=33),
+    "residual_kernel_huge": lambda c: c["model"].update(residual_kernel=1000001),
     "input_size_zero": lambda c: c["model"].update(input_size=0),
     "beta1_one": lambda c: c["train"].update(beta1=1.0),
     "beta2_above_one": lambda c: c["train"].update(beta2=1.5),
@@ -142,6 +141,18 @@ def test_bad_config_rejected(tmp_path, capsys, probe):
     assert main(["simulate", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "section, key", [("model", "in_channels"), ("model", "leaky_slope"), ("model", "norm_eps"),
+                     ("model", "mag_eps"), ("train", "residual_kernel")],
+)
+def test_removed_fields_are_unknown_keys(tmp_path, capsys, section, key):
+    path, cfg = experiment_config(tmp_path)
+    cfg[section][key] = 7
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path)]) == 2
+    assert f"unknown key(s) ['{key}'] in {section}" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -211,6 +222,12 @@ class TestDemoFractal:
         main(["demo-fractal", "--out", str(b), "--seed", "5", "--base-size", "16", "--stages", "1"])
         assert tree_hash(a) == tree_hash(b)
 
+    def test_base_size_below_glyph_height(self, tmp_path):
+        # the glyph's crossbar row lies below a 3 px spectrum
+        out = tmp_path / "grid"
+        assert main(["demo-fractal", "--out", str(out), "--base-size", "3", "--stages", "1"]) == 0
+        assert (out / "captions.csv").exists()
+
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--base-size", "-1"]])
     def test_bad_arguments_return_2(self, tmp_path, capsys, flags):
         assert main(["demo-fractal", "--out", str(tmp_path / "grid")] + flags) == 2
@@ -260,6 +277,14 @@ class TestPipelineCommands:
         from fsf.fileio import read_manifest
 
         assert len(lines) - 1 == len(read_manifest(ws / "corpus" / "manifest_test.csv"))
+
+    @pytest.mark.parametrize("command", ["spectrum", "features"])
+    def test_model_free_commands_take_no_seed(self, workspace, tmp_path, command):
+        manifest = str(workspace[0] / "corpus" / "manifest_test.csv")
+        with pytest.raises(SystemExit) as exc:  # argparse's usage error
+            main([command, "--manifest", manifest, "--out", str(tmp_path / "o"), "--seed", "5"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_spectrum_command_residual_flag_changes_output(self, workspace, tmp_path):
         ws, path = workspace
@@ -316,13 +341,13 @@ class TestExitCodes:
         assert main(["eval", "--config", str(path)]) == 3
 
     def test_bad_residual_kernel_in_checkpoint_returns_3(self, workspace, tmp_path, capsys):
-        from fsf.checkpoint import load_checkpoint, save_checkpoint
+        from test_checkpoint import join_checkpoint, resign, split_checkpoint
 
         ws, path = workspace
-        ckpt = load_checkpoint(ws / "run" / "checkpoint.ckpt")
-        ckpt.metadata["residual_kernel"] = 4
+        header, blocks = split_checkpoint(ws / "run" / "checkpoint.ckpt")
+        header["config"]["residual_kernel"] = 4
         bad = tmp_path / "bad.ckpt"
-        save_checkpoint(bad, ckpt)
+        resign(bad, join_checkpoint(header, blocks))
         assert main(["eval", "--config", str(path), "--checkpoint", str(bad)]) == 3
         assert "residual_kernel" in capsys.readouterr().err
 

@@ -79,9 +79,12 @@ class TestNetpbm:
             b"P5\n4 4\n0\n" + bytes(16),  # zero maxval
             b"P5\n-1 4\n255\n" + bytes(16),  # negative width
             b"P5\n4 4\n70000\n" + bytes(32),  # maxval above 16 bits
+            b"P5\n2 1\n100\n\x00\xff",  # 8-bit sample above maxval
+            b"P5\n1 1\n300\n\xff\xff",  # 16-bit sample above maxval
         ],
         ids=["non_numeric", "open_comment", "zero_width", "zero_maxval",
-             "negative_width", "maxval_70000"],
+             "negative_width", "maxval_70000", "sample_above_maxval_8bit",
+             "sample_above_maxval_16bit"],
     )
     def test_bad_header_rejected(self, tmp_path, payload):
         path = tmp_path / "g.pgm"

@@ -9,7 +9,6 @@ from fsf.model import FractalCNN, ModelConfig, bce_with_logits
 
 def toy_config(n_units, size=16, dtype="float64"):
     return ModelConfig(
-        in_channels=1,
         channels=4,
         n_units=n_units,
         input_size=size,

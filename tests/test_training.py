@@ -133,6 +133,47 @@ class TestEvaluate:
             evaluate(ckpt, Manifest([], root="."))
 
 
+class TestResidualWindow:
+    def test_checkpoint_window_sets_evaluate_and_features_inputs(self, tiny_corpus, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from fsf.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
+        from fsf.figures import features_export
+        from fsf.fileio import read_image
+        from fsf.model import FractalCNN
+        from fsf.training import detector_input
+
+        cfg = replace(tiny_model_cfg(), residual_kernel=3)
+        path = tmp_path / "w3.ckpt"
+        save_checkpoint(path, ModelCheckpoint(cfg, FractalCNN(cfg).copy_params(), {}))
+        ckpt = load_checkpoint(path)
+        assert ckpt.config.residual_kernel == 3
+
+        fed = []
+        monkeypatch.setattr(FractalCNN, "predict", lambda self, x: fed.append(x) or np.zeros(len(x)))
+        monkeypatch.setattr(
+            FractalCNN, "features", lambda self, x: fed.append(x) or np.zeros((len(x), cfg.feature_width))
+        )
+        test = tiny_corpus["test"]
+        evaluate(ckpt, test)
+        fed_eval = np.concatenate(fed)[..., 0]
+        fed.clear()
+        features_export(test, tmp_path / "features.csv", checkpoint=ckpt)
+        fed_features = np.concatenate(fed)[..., 0]
+
+        entries = sorted(test.entries, key=lambda e: e.path)  # evaluate's order
+        images = [read_image(test.resolve(e)) for e in entries]
+        none = (DistortionConfig("none"),)
+        assert np.array_equal(fed_eval, np.stack([detector_input(im, cfg, none) for im in images]))
+        by_path = dict(zip((e.path for e in entries), images))
+        window3 = np.stack([detector_input(by_path[e.path], cfg) for e in test.entries])
+        assert np.array_equal(fed_features, window3)
+        window7 = replace(cfg, residual_kernel=7)
+        assert not np.array_equal(
+            fed_features, np.stack([detector_input(by_path[e.path], window7) for e in test.entries])
+        )
+
+
 class TestAblationTable:
     def test_grid_shape(self):
         from fsf.training import EvalResult
