@@ -154,8 +154,8 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
 
 def write_run_meta(out_dir: str, args, seed, digest: str) -> None:
     """run_meta.json: the command, config hash, seed and versions, plus the
-    wall time since ``main`` parsed ``args``, the process's peak RSS and its
-    thread settings (None where a variable is unset)."""
+    wall time since ``main`` parsed ``args``, the process's peak RSS, that of
+    its largest worker and the thread settings (None where a variable is unset)."""
     os.makedirs(out_dir, exist_ok=True)
     meta = {
         "command": args.command,
@@ -163,8 +163,10 @@ def write_run_meta(out_dir: str, args, seed, digest: str) -> None:
         "seed": seed,
         "versions": {"fsf": __version__, "numpy": np.__version__},
         "wall_s": round(time.perf_counter() - args.started, 3),
-        # ru_maxrss is in KiB on Linux
+        # ru_maxrss is in KiB on Linux; forked workers count only in RUSAGE_CHILDREN
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "children_peak_rss_mb":
+            round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
         "threads": {k: os.environ.get(k) for k in ("FSF_THREADS", "OPENBLAS_NUM_THREADS")},
     }
     with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:

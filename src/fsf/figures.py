@@ -75,21 +75,23 @@ def average_spectrum_report(manifest: Manifest, out_dir, residual: bool = False)
     for entry in manifest.entries:
         groups.setdefault(entry.pipeline, []).append(entry)
 
-    rows = []
-    for name in sorted(groups):
+    def group_average(name):  # one job per group: its spectra sum in order in one process
         entries = groups[name]
-        images = parallel_map(lambda e: read_image(manifest.resolve(e)), entries)
+        images = [read_image(manifest.resolve(e)) for e in entries]
         for entry, image in zip(entries, images):
             if image.shape != images[0].shape:
                 raise DataError(
                     f"{manifest.resolve(entry)} is {image.shape}, but the first image of "
                     f"group {name!r} ({manifest.resolve(entries[0])}) is {images[0].shape}"
                 )
-        avg = average_spectrum(map(noise_residual, images) if residual else images)
+        return name, average_spectrum(map(noise_residual, images) if residual else images)
+
+    rows = []
+    for name, avg in parallel_map(group_average, sorted(groups)):
         tag = "residual" if residual else "raw"
         filename = f"avg_{tag}_{name}.pgm"
         write_pgm(os.path.join(out_dir, filename), export_view(avg), bits=16)
-        rows.append([name, len(entries), f"{quadrant_correlation(avg):.4f}", filename])
+        rows.append([name, len(groups[name]), f"{quadrant_correlation(avg):.4f}", filename])
     write_table(os.path.join(out_dir, "report.csv"),
                 ["group", "images", "quadrant_correlation", "file"], rows)
     return rows
@@ -119,18 +121,19 @@ def features_export(
     if model is not None:
         header += [f"svec_{i}" for i in range(checkpoint.config.feature_width)]
 
-    rows = []
-    for entry in manifest.entries:
+    def row(entry):
         image = read_image(manifest.resolve(entry))
         target = noise_residual(image) if residual else image
         stats = self_similarity_features(spectrum_of(target), levels, measure)
-        row = [entry.path, entry.label, entry.pipeline]
-        row += [f"{s:.8g}" for s in stats]
+        cells = [entry.path, entry.label, entry.pipeline]
+        cells += [f"{s:.8g}" for s in stats]
         if model is not None:
             prepped = detector_input(image, checkpoint.config)
             vec = model.features(prepped[None, :, :, None])[0]
-            row += [f"{v:.8g}" for v in vec]
-        rows.append(row)
+            cells += [f"{v:.8g}" for v in vec]
+        return cells
+
+    rows = parallel_map(row, manifest.entries)
     # Written once every row exists, so a failed run leaves no partial table.
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

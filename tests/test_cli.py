@@ -38,7 +38,7 @@ def experiment_config(tmp_path, **overrides):
 
 
 # Fields of run_meta.json that measure the run rather than describe it.
-MEASURED = ("wall_s", "peak_rss_mb")
+MEASURED = ("wall_s", "peak_rss_mb", "children_peak_rss_mb")
 
 
 def tree_hash(root):
@@ -174,6 +174,7 @@ class TestSimulateCommand:
         assert meta["command"] == "simulate"
         assert 0.0 <= meta["wall_s"] < 600.0
         assert meta["peak_rss_mb"] > 10.0  # numpy alone is larger
+        assert meta["children_peak_rss_mb"] > 10.0  # a forked worker starts as large
         assert meta["threads"] == {"FSF_THREADS": "2", "OPENBLAS_NUM_THREADS": None}
 
     def test_same_config_twice_gives_identical_tree(self, tmp_path):
@@ -339,6 +340,26 @@ class TestExitCodes:
         path, _ = experiment_config(tmp_path)
         main(["simulate", "--config", str(path)])
         assert main(["eval", "--config", str(path)]) == 3
+
+    @pytest.mark.parametrize("command", ["features", "spectrum"])
+    def test_truncated_image_in_worker_share_returns_3(
+        self, tmp_path, capsys, monkeypatch, no_child_left, command
+    ):
+        from fsf.fileio import read_manifest
+
+        path, _ = experiment_config(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 0
+        manifest = tmp_path / "corpus" / "manifest_test.csv"
+        # Entry 1 is odd, and its group (real) is the second of three: a worker's share
+        # of both the feature rows and the report's groups.
+        entry = read_manifest(manifest).entries[1]
+        assert entry.label == "real"
+        image = tmp_path / "corpus" / entry.path
+        image.write_bytes(image.read_bytes()[:-5])
+        monkeypatch.setenv("FSF_THREADS", "2")
+        capsys.readouterr()
+        assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+        assert f"{image}: truncated pixel data" in capsys.readouterr().err
 
     def test_bad_residual_kernel_in_checkpoint_returns_3(self, workspace, tmp_path, capsys):
         from test_checkpoint import join_checkpoint, resign, split_checkpoint

@@ -311,14 +311,16 @@ class TestBuildCorpus:
                 n_train_real=1,
             )
 
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
-        def build(workers):
+    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch, no_child_left):
+        from fsf.figures import average_spectrum_report, features_export
+
+        def run(workers):
             monkeypatch.setenv("FSF_THREADS", str(workers))
             out = tmp_path / f"w{workers}"
-            build_corpus(self._spec(tmp_path), out)
-            return out
-
-        import hashlib
+            manifests = build_corpus(self._spec(tmp_path), out)
+            features_export(manifests["train"], out / "features.csv", levels=2)
+            average_spectrum_report(manifests["test"], out / "average", residual=True)
+            return tree_hash(out)
 
         def tree_hash(root):
             digest = hashlib.sha256()
@@ -329,7 +331,7 @@ class TestBuildCorpus:
                         digest.update(fh.read())
             return digest.hexdigest()
 
-        assert tree_hash(build(1)) == tree_hash(build(4))
+        assert run(1) == run(2) == run(3)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])

@@ -143,6 +143,8 @@ class TestResidualWindow:
         from fsf.model import FractalCNN
         from fsf.training import detector_input
 
+        # The recording list below lives in this process: forked workers' appends never reach it.
+        monkeypatch.setenv("FSF_THREADS", "1")
         cfg = replace(tiny_model_cfg(), residual_kernel=3)
         path = tmp_path / "w3.ckpt"
         save_checkpoint(path, ModelCheckpoint(cfg, FractalCNN(cfg).copy_params(), {}))
