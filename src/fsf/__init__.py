@@ -2,6 +2,11 @@
 
 __version__ = "0.1.0"
 
+from .heap import keep_freed_memory
+
+# Set once per process, at import; forked parallel_map workers inherit it.
+heap_policy = keep_freed_memory()
+
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .errors import (
     ConfigError,

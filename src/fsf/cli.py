@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, heap_policy
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (
     ConfigError,
@@ -155,7 +155,8 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
 def write_run_meta(out_dir: str, args, seed, digest: str) -> None:
     """run_meta.json: the command, config hash, seed and versions, plus the
     wall time since ``main`` parsed ``args``, the process's peak RSS, that of
-    its largest worker and the thread settings (None where a variable is unset)."""
+    its largest worker, the thread settings (None where a variable is unset) and
+    whether the process keeps freed memory in its heap (``fsf.heap``)."""
     os.makedirs(out_dir, exist_ok=True)
     meta = {
         "command": args.command,
@@ -168,6 +169,7 @@ def write_run_meta(out_dir: str, args, seed, digest: str) -> None:
         "children_peak_rss_mb":
             round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
         "threads": {k: os.environ.get(k) for k in ("FSF_THREADS", "OPENBLAS_NUM_THREADS")},
+        "heap_policy": heap_policy,
     }
     with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

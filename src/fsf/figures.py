@@ -11,7 +11,7 @@ import csv
 import os
 
 from .checkpoint import ModelCheckpoint
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .fileio import Manifest, read_image, write_pgm, write_table
 from .forensics import noise_residual
 from .parallel import parallel_map
@@ -110,10 +110,14 @@ def features_export(
     Hand-crafted columns are the per-level fused-quadrant statistics of the
     image spectrum (of the noise residual when ``residual`` is set).  With a
     checkpoint, the model's concatenated level vectors are appended.
-    Returns the number of rows written.
+    Returns the number of rows written. An image whose sides are not
+    divisible by 2**(levels + 1) is a data error that names it.
     """
     if len(manifest) == 0:
         raise DataError("manifest is empty")
+    if levels < 0:
+        raise ParameterError(f"levels must be >= 0, got {levels}")
+    divisor = 1 << (levels + 1)  # every pyramid level is quadrant-split once more
     model = checkpoint.build_model() if checkpoint is not None else None
 
     header = ["path", "label", "pipeline"]
@@ -123,6 +127,10 @@ def features_export(
 
     def row(entry):
         image = read_image(manifest.resolve(entry))
+        h, w = image.shape
+        if h % divisor or w % divisor:
+            raise DataError(f"{manifest.resolve(entry)} is {h}x{w}; "
+                            f"{levels} levels need sides divisible by {divisor}")
         target = noise_residual(image) if residual else image
         stats = self_similarity_features(spectrum_of(target), levels, measure)
         cells = [entry.path, entry.label, entry.pipeline]

@@ -231,7 +231,8 @@ def evaluate(
     A pipeline's accuracy is measured over its generated images plus every
     real image in the manifest.  Entries are processed in path order, so the
     result is independent of manifest ordering.  The distortion (if any) is
-    applied before crop/pad and residual extraction.
+    applied before crop/pad and residual extraction.  Images are read and
+    prepared one ``batch_size`` slice at a time, so memory is O(batch).
     """
     if len(manifest) == 0:
         raise DataError("evaluation manifest is empty")
@@ -243,9 +244,10 @@ def evaluate(
         image = read_image(manifest.resolve(entry))
         return detector_input(image, checkpoint.config, (distortion,))
 
-    prepped = parallel_map(prep, entries)
-    x = np.stack(prepped)[..., None]
-    logits = _predict_batched(model, x, batch_size)
+    logits = np.concatenate([
+        model.predict(np.stack(parallel_map(prep, entries[start:start + batch_size]))[..., None])
+        for start in range(0, len(entries), batch_size)
+    ])
     predicted = logits > 0
     actual = np.array([e.label == "generated" for e in entries])
     correct = predicted == actual

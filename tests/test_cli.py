@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import fsf
 from fsf.cli import load_config, main, parse_distortion
 from fsf.errors import ConfigError
 
@@ -176,6 +177,8 @@ class TestSimulateCommand:
         assert meta["peak_rss_mb"] > 10.0  # numpy alone is larger
         assert meta["children_peak_rss_mb"] > 10.0  # a forked worker starts as large
         assert meta["threads"] == {"FSF_THREADS": "2", "OPENBLAS_NUM_THREADS": None}
+        # a property of the C library (tests/test_heap.py), not a measurement of the run
+        assert meta["heap_policy"] is fsf.heap_policy
 
     def test_same_config_twice_gives_identical_tree(self, tmp_path):
         path, _ = experiment_config(tmp_path)
@@ -360,6 +363,30 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
         assert f"{image}: truncated pixel data" in capsys.readouterr().err
+
+    def test_features_image_with_indivisible_sides_returns_3(self, tmp_path, capsys):
+        from fsf.fileio import read_manifest, write_pgm
+
+        path, _ = experiment_config(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 0
+        manifest = tmp_path / "corpus" / "manifest_test.csv"
+        image = tmp_path / "corpus" / read_manifest(manifest).entries[2].path
+        write_pgm(image, np.zeros((63, 63)))
+        out = tmp_path / "f.csv"
+        capsys.readouterr()
+        assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 3
+        assert f"{image} is 63x63; 2 levels need sides divisible by 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_features_negative_levels_returns_2(self, tmp_path, capsys):
+        path, _ = experiment_config(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 0
+        manifest = tmp_path / "corpus" / "manifest_test.csv"
+        out = tmp_path / "f.csv"
+        assert main(["features", "--manifest", str(manifest), "--out", str(out),
+                     "--levels", "-1"]) == 2
+        assert "levels must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_residual_kernel_in_checkpoint_returns_3(self, workspace, tmp_path, capsys):
         from test_checkpoint import join_checkpoint, resign, split_checkpoint

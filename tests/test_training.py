@@ -123,6 +123,35 @@ class TestEvaluate:
         assert blurred.distortion == "blur1"
         assert blurred.n_images == clean.n_images
 
+    def test_prepares_at_most_one_batch_before_each_predict(self, tiny_corpus, monkeypatch):
+        import fsf.training
+        from fsf.checkpoint import ModelCheckpoint
+        from fsf.model import FractalCNN
+
+        # The recording list lives in this process: forked workers' appends never reach it.
+        monkeypatch.setenv("FSF_THREADS", "1")
+        cfg = tiny_model_cfg()
+        ckpt = ModelCheckpoint(cfg, FractalCNN(cfg).copy_params(), {})
+        events, prepare = [], fsf.training.detector_input
+        monkeypatch.setattr(
+            fsf.training, "detector_input", lambda *a: events.append("prep") or prepare(*a)
+        )
+        monkeypatch.setattr(
+            FractalCNN, "predict", lambda self, x: events.append(len(x)) or np.zeros(len(x))
+        )
+        evaluate(ckpt, tiny_corpus["test"], batch_size=5)
+        n = len(tiny_corpus["test"])
+        sizes = [e for e in events if e != "prep"]
+        assert sizes == [5] * (n // 5) + [n % 5] * (n % 5 > 0)  # today's batch boundaries
+        prepared = 0
+        for event in events:
+            if event == "prep":
+                prepared += 1
+                assert prepared <= 5
+            else:
+                assert prepared == event
+                prepared = 0
+
     def test_empty_manifest_rejected(self, tiny_corpus):
         from fsf.checkpoint import ModelCheckpoint
         from fsf.model import FractalCNN
