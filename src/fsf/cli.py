@@ -44,6 +44,7 @@ from .figures import average_spectrum_report, features_export, formation_grid
 from .fileio import format_table, read_manifest, write_table
 from .forensics import AugmentPolicy, DistortionConfig
 from .model import ModelConfig
+from .parallel import worker_peak_mb
 from .simulate import CorpusSpec, PipelineConfig, build_corpus
 from .training import EpochStats, TrainConfig, ablate, accuracy_table, evaluate, train
 
@@ -154,20 +155,22 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
 
 def write_run_meta(out_dir: str, args, seed, digest: str) -> None:
     """run_meta.json: the command, config hash, seed and versions, plus the
-    wall time since ``main`` parsed ``args``, the process's peak RSS, that of
-    its largest worker, the thread settings (None where a variable is unset) and
-    whether the process keeps freed memory in its heap (``fsf.heap``)."""
+    wall time since ``main`` parsed ``args``, the process's peak RSS, the
+    largest private memory of its ``parallel_map`` workers (None if none ran),
+    the thread settings (None where a variable is unset) and whether the
+    process keeps freed memory in its heap (``fsf.heap``)."""
     os.makedirs(out_dir, exist_ok=True)
+    worker_mb = worker_peak_mb()
     meta = {
         "command": args.command,
         "config_sha256": digest,
         "seed": seed,
         "versions": {"fsf": __version__, "numpy": np.__version__},
         "wall_s": round(time.perf_counter() - args.started, 3),
-        # ru_maxrss is in KiB on Linux; forked workers count only in RUSAGE_CHILDREN
+        # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "children_peak_rss_mb":
-            round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
+        # private memory only: a worker's RSS would count the caller's heap it maps copy-on-write
+        "children_peak_rss_mb": None if worker_mb is None else round(worker_mb, 1),
         "threads": {k: os.environ.get(k) for k in ("FSF_THREADS", "OPENBLAS_NUM_THREADS")},
         "heap_policy": heap_policy,
     }

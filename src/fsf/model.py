@@ -22,7 +22,8 @@ Activations are kept channel-last (B, H, W, C), the layout of the
 convolutions' im2col rows; the spectrum stage transposes to channel-first
 for the trailing-axes transform and back.  For the backward pass each
 convolution caches its input (a quadrant view for the branch convolutions),
-not its im2col matrix, which is nine times larger.
+not its im2col matrix, which is nine times larger.  Inference keeps no
+cache and runs steps 1-2 one image at a time (see ``FractalCNN.forward``).
 """
 
 from __future__ import annotations
@@ -241,8 +242,29 @@ class FractalCNN:
 
     # -- full passes ------------------------------------------------------
 
+    def _trunk(self, x, cache, keep):
+        """High-pass block, fractal units and pooled levels: (B, feature_width) vectors."""
+        h = self._highpass(x, cache, keep)
+        level_vectors = []
+        for n in range(self.config.n_units):
+            vector, h = self._fractal_unit(h, n, cache, keep)
+            level_vectors.append(vector)
+        level_vectors.append(h.mean(axis=(1, 2)))
+        if keep:
+            cache["final_shape"] = h.shape
+        return np.concatenate(level_vectors, axis=1)
+
     def forward(self, x: np.ndarray, keep_cache: bool = True):
-        """Batched forward pass (B, H, W, 1) -> logits (B,) plus cache."""
+        """Forward pass (B, H, W, 1) -> logits (B,) plus cache.
+
+        With ``keep_cache`` (a training step) the trunk runs on the whole
+        batch, since the backward pass sums gradients over it.  Without, the
+        trunk runs on one image at a time, so inference holds one image's
+        feature maps whatever B is; every trunk op works per image, so the
+        level vectors are those of the batched trunk.  The head's two GEMMs
+        still run once on the stacked (B, feature_width) vectors: at one row
+        numpy takes a GEMV path that sums in another order.
+        """
         cfg = self.config
         x = np.asarray(x, dtype=cfg.np_dtype)
         if x.ndim != 4 or x.shape[3] != 1:
@@ -253,25 +275,25 @@ class FractalCNN:
                 f"{x.shape[1]}x{x.shape[2]}"
             )
         cache: dict = {}
-        h = self._highpass(x, cache, keep_cache)
-        level_vectors = []
-        for n in range(cfg.n_units):
-            vector, h = self._fractal_unit(h, n, cache, keep_cache)
-            level_vectors.append(vector)
-        level_vectors.append(h.mean(axis=(1, 2)))
-
-        feats = np.concatenate(level_vectors, axis=1)
+        if keep_cache:
+            feats = self._trunk(x, cache, True)
+        else:
+            feats = np.empty((x.shape[0], cfg.feature_width), dtype=cfg.np_dtype)
+            for i in range(x.shape[0]):
+                feats[i] = self._trunk(x[i:i + 1], cache, False)[0]
         pre = feats @ self.params["head1_w"] + self.params["head1_b"]
         act = leaky_relu(pre, LEAKY_SLOPE)
         logits = (act @ self.params["head2_w"] + self.params["head2_b"])[:, 0]
         if keep_cache:
-            cache["final_shape"] = h.shape
             cache["head"] = (feats, pre, act)
         cache["features"] = feats
         return logits, cache
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        """Concatenated level vectors (B, channels * (n_units + 1)), no caching."""
+        """Concatenated level vectors (B, channels * (n_units + 1)), no caching.
+
+        Computed one image at a time (see ``forward``), so each row is that
+        image's own and does not depend on the rest of the batch."""
         _, cache = self.forward(x, keep_cache=False)
         return cache["features"]
 

@@ -205,9 +205,15 @@ def leaky_relu(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
 
 
 def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.2) -> np.ndarray:
-    x = np.asarray(x)
+    if not 0.0 < slope < 1.0:
+        raise ParameterError(f"slope must lie in (0, 1), got {slope}")
     upstream = np.asarray(upstream)
-    return np.where(x >= 0, upstream, upstream * upstream.dtype.type(slope))
+    # factor 1 where x >= 0, else slope (also for NaN x); bitwise
+    # np.where(x >= 0, upstream, upstream * slope) without its two full-size temporaries
+    factor = np.asarray(np.asarray(x) >= 0).astype(upstream.dtype)
+    np.maximum(factor, upstream.dtype.type(slope), out=factor)
+    factor *= upstream
+    return factor
 
 
 # ---------------------------------------------------------------------------

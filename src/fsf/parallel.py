@@ -7,6 +7,27 @@ import pickle
 
 from .errors import ConfigError
 
+_worker_peak_mb = None  # largest private memory a worker of this process reported
+
+
+def private_mb():
+    """Private resident memory of this process in MB: Private_Clean + Private_Dirty
+    of /proc/self/smaps_rollup, or None where that file does not exist.  Under
+    ``fsf.heap``'s policy freed arrays stay in the heap, so a worker that reads
+    it when its share is done reads about its peak."""
+    try:
+        with open("/proc/self/smaps_rollup", encoding="ascii") as fh:
+            return sum(int(line.split()[1]) for line in fh
+                       if line.startswith(("Private_Clean:", "Private_Dirty:"))) / 1024
+    except OSError:
+        return None
+
+
+def worker_peak_mb():
+    """Largest ``private_mb`` any parallel_map worker of this process sent back
+    with its share, or None when none did."""
+    return _worker_peak_mb
+
 
 def worker_count() -> int:
     """Worker cap from FSF_THREADS (default 1 = serial); must be a positive integer."""
@@ -49,13 +70,14 @@ def parallel_map(fn, items):
                 try:
                     os.close(read_fd)
                     with os.fdopen(write_fd, "wb") as out:  # the share is computed before any write
-                        pickle.dump(_share(fn, items, k, workers), out, pickle.HIGHEST_PROTOCOL)
+                        share = _share(fn, items, k, workers)
+                        pickle.dump((*share, private_mb()), out, pickle.HIGHEST_PROTOCOL)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
-        shares = [_share(fn, items, 0, workers)] + [pickle.load(fh) for _, fh in children]
+        shares = [(*_share(fn, items, 0, workers), None)] + [pickle.load(fh) for _, fh in children]
     except (EOFError, pickle.UnpicklingError):  # a worker ended before sending its share
         lost = True
     finally:
@@ -64,6 +86,9 @@ def parallel_map(fn, items):
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
     if lost:
         raise RuntimeError(f"a parallel_map worker sent no results; exit statuses {statuses}")
-    if failures := [failure for _, failure in shares if failure is not None]:
+    global _worker_peak_mb
+    if peaks := [mb for *_, mb in shares if mb is not None]:
+        _worker_peak_mb = max(peaks if _worker_peak_mb is None else [*peaks, _worker_peak_mb])
+    if failures := [failure for _, failure, _ in shares if failure is not None]:
         raise min(failures, key=lambda f: f[0])[1]
     return [shares[i % workers][0][i // workers] for i in range(len(items))]

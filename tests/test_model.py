@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -131,6 +132,43 @@ class TestForward:
         feats = model.features(0.2 * rng.standard_normal((1, 16, 16, 1)))
         # fused map is zero, so unit 0's level vector collapses to the fuse bias
         assert np.allclose(feats[0, :cfg.channels], model.params["u0_fuse_b"], atol=1e-12)
+
+
+class TestOneImageInference:
+    """Without a cache the trunk runs one image at a time (``FractalCNN.forward``)."""
+
+    @pytest.mark.parametrize("size, batch", [(64, 32), (224, 2)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_predict_and_features_equal_the_cached_batched_pass(self, size, batch, dtype):
+        model = FractalCNN(ModelConfig(channels=32, n_units=2, input_size=size, dtype=dtype), seed=1)
+        x = np.random.default_rng(41).standard_normal((batch, size, size, 1))
+        logits, cache = model.forward(x)
+        feats = cache["features"]
+        del cache  # the B=32 float64 cache is about 600 MB
+        assert model.predict(x).tobytes() == logits.tobytes()
+        assert model.features(x).tobytes() == feats.tobytes()
+
+    def test_features_do_not_depend_on_the_batch(self):
+        # with 8 channels the batched unit convs take another BLAS kernel than one image's
+        model = FractalCNN(ModelConfig(channels=8, n_units=2, input_size=64), seed=3)
+        x = np.random.default_rng(40).standard_normal((32, 64, 64, 1))
+        feats = model.features(x)
+        for i in range(len(x)):
+            assert feats[i].tobytes() == model.features(x[i:i + 1])[0].tobytes()
+
+    def test_predict_memory_does_not_grow_with_the_batch(self):
+        model = FractalCNN(ModelConfig(channels=32, n_units=2, input_size=64))
+        rng = np.random.default_rng(42)
+        peaks = []
+        for batch in (1, 8):
+            x = rng.standard_normal((batch, 64, 64, 1))
+            tracemalloc.start()
+            try:
+                model.predict(x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def _cached_arrays(value):

@@ -274,6 +274,26 @@ class TestLeakyRelu:
             leaky_relu(np.zeros(3), 1.5)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_is_bitwise_the_where_oracle(self, dtype):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal(64).astype(dtype)
+        up = rng.standard_normal(64).astype(dtype)
+        specials = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf]
+        x[:6] = specials  # NaN x takes the slope branch, as in np.where
+        up[6:12] = specials
+        up[12:18] = specials
+        x[12:18] = -1.0
+        expected = np.where(x >= 0, up, up * up.dtype.type(0.2))
+        out = leaky_relu_backward(x, up, 0.2)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.2, 1.5])
+    def test_backward_bad_slope_raises(self, slope):
+        with pytest.raises(ParameterError):
+            leaky_relu_backward(np.zeros(3), np.ones(3), slope)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_equal_to_where_form(self, dtype):
         rng = np.random.default_rng(12)
         tiny = np.finfo(dtype).smallest_subnormal

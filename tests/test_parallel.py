@@ -7,8 +7,10 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
+import fsf
 from fsf import parallel
 from fsf.parallel import parallel_map
 
@@ -47,6 +49,28 @@ def test_worker_that_dies_names_its_exit_status(two_workers):
 
     with pytest.raises(RuntimeError, match=r"exit statuses \[5\]"):
         parallel_map(fn, range(4))
+
+
+@pytest.mark.skipif(not fsf.heap_policy or parallel.private_mb() is None,
+                    reason="needs /proc/self/smaps_rollup and the glibc heap policy")
+def test_workers_send_back_their_largest_private_memory(two_workers, monkeypatch):
+    monkeypatch.setattr(parallel, "_worker_peak_mb", None)
+
+    def fill(mib):
+        return int(np.ones(mib << 20, np.uint8).sum())
+
+    parallel_map(fill, [1, 64])  # the worker's share is [64]
+    first = parallel.worker_peak_mb()
+    assert 64.0 <= first < 64.0 + parallel.private_mb()
+    parallel_map(fill, [1, 2])  # a later, smaller worker does not lower the maximum
+    assert parallel.worker_peak_mb() == first
+
+
+def test_worker_peak_is_none_without_smaps_rollup(two_workers, monkeypatch):
+    monkeypatch.setattr(parallel, "_worker_peak_mb", None)
+    monkeypatch.setattr(parallel, "private_mb", lambda: None)
+    assert parallel_map(lambda x: x, range(4)) == [0, 1, 2, 3]
+    assert parallel.worker_peak_mb() is None
 
 
 def test_worker_count_capped_by_usable_cpus(monkeypatch):
