@@ -16,7 +16,8 @@ Layout (all integers little-endian):
     checksum         u32 CRC32 of everything above
 
 Version 1 files kept the residual window in the metadata; they are refused
-rather than loaded with a guessed window.
+rather than loaded with a guessed window.  A file whose parameter names or
+shapes are not those its config builds is refused too.
 
 Parameters are stored as float64 regardless of the training dtype; the
 config records the dtype and loading casts back, so a save/load round trip
@@ -129,4 +130,11 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise FormatError(f"{path}: truncated or undecodable parameter block: {exc}") from exc
     if pos != len(body):
         raise FormatError(f"{path}: trailing bytes after parameter blocks")
+    expected = config.param_shapes()
+    for name in sorted(expected.keys() | params.keys()):
+        got, want = params.get(name), expected.get(name)
+        if got is None or want is None or got.shape != want:
+            found = "is missing" if got is None else f"has shape {got.shape}"
+            needs = "has no such parameter" if want is None else f"wants shape {want}"
+            raise FormatError(f"{path}: parameter {name!r:.60} {found}, but the config {needs}")
     return ModelCheckpoint(config=config, params=params, metadata=metadata)

@@ -22,12 +22,16 @@ Activations are kept channel-last (B, H, W, C), the layout of the
 convolutions' im2col rows; the spectrum stage transposes to channel-first
 for the trailing-axes transform and back.  For the backward pass each
 convolution caches its input (a quadrant view for the branch convolutions),
-not its im2col matrix, which is nine times larger.  Inference keeps no
-cache and runs steps 1-2 one image at a time (see ``FractalCNN.forward``).
+not its im2col matrix, which is nine times larger.  The backward pass
+consumes that cache from the head down, popping each layer's entry so its
+activations are freed as soon as its gradients are done; a cache serves one
+backward pass.  Inference keeps no cache and runs steps 1-2 one image at a
+time (see ``FractalCNN.forward``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +96,30 @@ class ModelConfig:
     def feature_width(self) -> int:
         return self.channels * (self.n_units + 1)
 
+    def param_shapes(self) -> dict:
+        """Name -> shape of every detector parameter, in initialization order."""
+        c = self.channels
+        shapes: dict = {}
+
+        def conv(name, c_in, with_norm):
+            shapes[f"{name}_w"] = (3, 3, c_in, c)
+            if with_norm:
+                # no conv bias: the following instance norm would cancel it
+                shapes[f"{name}_g"] = shapes[f"{name}_beta"] = (c,)
+            else:
+                shapes[f"{name}_b"] = (c,)
+
+        for name, c_in in (("sp1", 1), ("sp2", c), ("fq1", c), ("fq2", c)):
+            conv(name, c_in, True)
+        for n in range(self.n_units):
+            for q in BRANCH_NAMES + ("fuse",):
+                conv(f"u{n}_{q}", c, False)
+        shapes["head1_w"] = (self.feature_width, self.head_hidden)
+        shapes["head1_b"] = (self.head_hidden,)
+        shapes["head2_w"] = (self.head_hidden, 1)
+        shapes["head2_b"] = (1,)
+        return shapes
+
 
 class FractalCNN:
     """Parameter container plus hand-written forward/backward passes."""
@@ -112,27 +140,13 @@ class FractalCNN:
             bound = gain * np.sqrt(6.0 / fan_in)
             return rng.uniform(-bound, bound, size=shape).astype(dt)
 
-        def add_conv(name, c_in, c_out, with_norm):
-            self.params[f"{name}_w"] = kaiming((3, 3, c_in, c_out), 9 * c_in)
-            if with_norm:
-                # no conv bias: the following instance norm would cancel it
-                self.params[f"{name}_g"] = np.ones(c_out, dtype=dt)
-                self.params[f"{name}_beta"] = np.zeros(c_out, dtype=dt)
+        for name, shape in cfg.param_shapes().items():
+            if name.endswith("_w"):  # fan-in: all but the output axis
+                self.params[name] = kaiming(shape, math.prod(shape[:-1]))
+            elif name.endswith("_g"):
+                self.params[name] = np.ones(shape, dtype=dt)
             else:
-                self.params[f"{name}_b"] = np.zeros(c_out, dtype=dt)
-
-        add_conv("sp1", 1, cfg.channels, True)
-        add_conv("sp2", cfg.channels, cfg.channels, True)
-        add_conv("fq1", cfg.channels, cfg.channels, True)
-        add_conv("fq2", cfg.channels, cfg.channels, True)
-        for n in range(cfg.n_units):
-            for q in BRANCH_NAMES:
-                add_conv(f"u{n}_{q}", cfg.channels, cfg.channels, False)
-            add_conv(f"u{n}_fuse", cfg.channels, cfg.channels, False)
-        self.params["head1_w"] = kaiming((cfg.feature_width, cfg.head_hidden), cfg.feature_width)
-        self.params["head1_b"] = np.zeros(cfg.head_hidden, dtype=dt)
-        self.params["head2_w"] = kaiming((cfg.head_hidden, 1), cfg.head_hidden)
-        self.params["head2_b"] = np.zeros(1, dtype=dt)
+                self.params[name] = np.zeros(shape, dtype=dt)
 
     def param_names(self):
         return sorted(self.params)
@@ -165,7 +179,7 @@ class FractalCNN:
         return y
 
     def _conv_norm_act_backward(self, upstream, name, cache, grads, need_input=True):
-        x, n, norm_cache = cache[name]
+        x, n, norm_cache = cache.pop(name)
         dn = leaky_relu_backward(n, upstream, LEAKY_SLOPE)
         dz, dg, dbeta = instance_norm_nhwc_backward(norm_cache, dn)
         dx, dw, _ = conv3x3_nhwc_backward(
@@ -183,7 +197,7 @@ class FractalCNN:
         return z
 
     def _plain_conv_backward(self, upstream, name, cache, grads):
-        dx, dw, db = conv3x3_nhwc_backward(cache[name], self.params[f"{name}_w"], upstream)
+        dx, dw, db = conv3x3_nhwc_backward(cache.pop(name), self.params[f"{name}_w"], upstream)
         grads[f"{name}_w"] = dw
         grads[f"{name}_b"] = db
         return dx
@@ -210,7 +224,7 @@ class FractalCNN:
         return out
 
     def _spectrum_normalize_backward(self, upstream, cache):
-        z, mag, shat, inv = cache["spectrum"]
+        z, mag, shat, inv = cache.pop("spectrum")
         ds = np.ascontiguousarray(upstream.transpose(0, 3, 1, 2))
         mean_d = ds.mean(axis=(2, 3), keepdims=True)
         mean_ds = (ds * shat).mean(axis=(2, 3), keepdims=True)
@@ -239,6 +253,27 @@ class FractalCNN:
         if keep:
             cache[f"u{n}"] = branches
         return fc.mean(axis=(1, 2)), quadrant_average(*blocks)
+
+    def _fractal_unit_backward(self, dh, dvector, n, cache, grads):
+        """Unit n's gradient wrt its input map, from those of its level
+        vector and of the next-level spectrum ``dh``.  Its temporaries are
+        freed on return, before the high-pass block's backward pass."""
+        branches = cache.pop(f"u{n}")
+        fc_shape = branches[0].shape  # the fuse conv keeps the branch shape
+        dfc = np.broadcast_to(
+            dvector[:, None, None, :] / (fc_shape[1] * fc_shape[2]), fc_shape
+        ).astype(self.config.np_dtype)
+        dfused = self._plain_conv_backward(dfc, f"u{n}_fuse", cache, grads)
+        dbranches = elementwise_mul_backward(branches, dfused)
+        # next-level average routes dh/4 back into each pre-conv quadrant
+        dquarter = dh / 4.0
+        d00, d01, d10, d11 = [
+            self._plain_conv_backward(db, f"u{n}_{q}", cache, grads) + dquarter
+            for db, q in zip(dbranches, BRANCH_NAMES)
+        ]
+        return np.concatenate(
+            [np.concatenate([d00, d01], axis=2), np.concatenate([d10, d11], axis=2)], axis=1
+        )
 
     # -- full passes ------------------------------------------------------
 
@@ -298,10 +333,15 @@ class FractalCNN:
         return cache["features"]
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> dict:
-        """Parameter gradients for the cached forward pass."""
+        """Parameter gradients for the cached forward pass.
+
+        Consumes the cache: each layer pops its entry, so its activations
+        are freed once its gradients are done, and only ``"features"`` is
+        left.  A cache can be used for backward only once.
+        """
         cfg = self.config
         grads: dict = {}
-        feats, pre, act = cache["head"]
+        feats, pre, act = cache.pop("head")
 
         dact = dlogits[:, None] @ self.params["head2_w"].T
         grads["head2_w"] = act.T @ dlogits[:, None]
@@ -317,28 +357,14 @@ class FractalCNN:
         ]
 
         # pooled final level
-        bsz, fh, fw, _ = cache["final_shape"]
+        final_shape = cache.pop("final_shape")
+        _, fh, fw, _ = final_shape
         dh = np.broadcast_to(
-            dvectors[-1][:, None, None, :] / (fh * fw), cache["final_shape"]
+            dvectors[-1][:, None, None, :] / (fh * fw), final_shape
         ).astype(cfg.np_dtype)
 
         for n in range(cfg.n_units - 1, -1, -1):
-            branches = cache[f"u{n}"]
-            fc_shape = branches[0].shape  # the fuse conv keeps the branch shape
-            dfc = np.broadcast_to(
-                dvectors[n][:, None, None, :] / (fc_shape[1] * fc_shape[2]), fc_shape
-            ).astype(cfg.np_dtype)
-            dfused = self._plain_conv_backward(dfc, f"u{n}_fuse", cache, grads)
-            dbranches = elementwise_mul_backward(branches, dfused)
-            # next-level average routes dh/4 back into each pre-conv quadrant
-            dquarter = dh / 4.0
-            d00, d01, d10, d11 = [
-                self._plain_conv_backward(db, f"u{n}_{q}", cache, grads) + dquarter
-                for db, q in zip(dbranches, BRANCH_NAMES)
-            ]
-            dh = np.concatenate(
-                [np.concatenate([d00, d01], axis=2), np.concatenate([d10, d11], axis=2)], axis=1
-            )
+            dh = self._fractal_unit_backward(dh, dvectors[n], n, cache, grads)
 
         dh = self._conv_norm_act_backward(dh, "fq2", cache, grads)
         dh = self._conv_norm_act_backward(dh, "fq1", cache, grads)

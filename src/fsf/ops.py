@@ -4,8 +4,8 @@ The detector's operations work on channel-last batches (B, H, W, C).  In
 that layout each im2col row (the 3x3 window of one output pixel, 9*C
 values) is nine contiguous channel runs; the convolution copies those rows
 chunk by chunk into a reused workspace instead of building the whole
-matrix.  The simulator's ``conv2d`` and ``transposed_conv2d`` take one
-C x H x W image.
+matrix; the weight gradient copies them one kernel row at a time.  The
+simulator's ``conv2d`` and ``transposed_conv2d`` take one C x H x W image.
 
 All backward functions return analytic gradients; there is no autodiff graph.
 """
@@ -22,10 +22,11 @@ from .errors import DimensionError, ParameterError
 # 3x3 convolution (stride 1, zero padding 1)
 # ---------------------------------------------------------------------------
 
-# Fewest im2col elements one forward GEMM chunk holds.  OpenBLAS (0.3.31)
-# sends sgemm/dgemm with M*N*K <= 1e6 to a small-matrix kernel that sums in
-# another order; above that, each output row's sums do not depend on M.  So
-# chunks of at least this size give bitwise the result of one full GEMM.
+# Fewest im2col elements one GEMM chunk holds: a forward chunk, or a weight
+# gradient's kernel-row block.  OpenBLAS (0.3.31) sends sgemm/dgemm with
+# M*N*K <= 1e6 to a small-matrix kernel that sums in another order; above
+# that, each output row's sums do not depend on M.  So chunks of at least
+# this size give bitwise the result of one full GEMM.
 _CHUNK_ELEMENTS = 1 << 20
 
 
@@ -86,10 +87,18 @@ def conv3x3_nhwc_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarr
                           need_input_grad: bool = True):
     """Gradients of conv3x3_nhwc. Returns (grad_input, grad_weights, grad_bias).
 
-    ``x`` is the forward input.  The weight gradient rebuilds the full im2col
-    matrix for one ``col.T @ upstream`` GEMM, since chunking that product
-    would split its sums.  ``need_input_grad=False`` skips the input
-    gradient (first-layer case) and returns None in its place.
+    ``x`` is the forward input.  The weight gradient ``col.T @ upstream``
+    sums over all B*H*W pixels, so splitting the pixels would split its
+    sums; splitting its output rows does not.  When one kernel row's im2col
+    block holds at least ``_CHUNK_ELEMENTS`` elements, the three kernel rows
+    are copied in turn into one reused block, each with its own GEMM over
+    every pixel.  Above OpenBLAS's small-matrix cutoff an output row's sums
+    do not depend on how many rows its GEMM has, so this is bitwise the
+    full GEMM while holding a third of its matrix.  A smaller input, whose
+    row GEMMs could fall under the cutoff, keeps one GEMM over the full
+    matrix.
+    ``need_input_grad=False`` skips the input gradient (first-layer case)
+    and returns None in its place.
     """
     b, h, w, o = upstream.shape
     c = weights.shape[2]
@@ -97,11 +106,17 @@ def conv3x3_nhwc_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarr
         raise DimensionError(
             f"input {x.shape}, kernel {weights.shape} and upstream {upstream.shape} do not match"
         )
-    dflat = upstream.reshape(b * h * w, o)
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    col = np.ascontiguousarray(_im2col_view(xp)).reshape(b * h * w, 9 * c)
-    grad_w = (col.T @ dflat).reshape(3, 3, c, o)
-    del col
+    m = b * h * w
+    dflat = upstream.reshape(m, o)
+    view = _im2col_view(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))))
+    rows = 1 if m * 3 * c >= _CHUNK_ELEMENTS else 3  # kernel rows per GEMM
+    block = np.empty((b, h, w, rows, 3, c), dtype=x.dtype)
+    grad_w = np.empty((3, 3, c, o), dtype=np.result_type(x, upstream))
+    for ky in range(0, 3, rows):
+        np.copyto(block, view[:, :, :, ky:ky + rows])
+        np.matmul(block.reshape(m, rows * 3 * c).T, dflat,
+                  out=grad_w[ky:ky + rows].reshape(rows * 3 * c, o))
+    del block, view  # before the input-gradient conv allocates its own
     grad_b = dflat.sum(axis=0)
     if not need_input_grad:
         return None, grad_w, grad_b

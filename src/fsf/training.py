@@ -149,6 +149,7 @@ def train(
             if not np.isfinite(loss):
                 raise NumericError(f"training loss diverged at epoch {epoch}")
             grads = model.backward(cache, dlogits)
+            del cache  # backward emptied it; nothing of this step outlives it
 
             steps += 1
             lr_t = train_cfg.lr * (

@@ -141,6 +141,41 @@ class TestMalformedContent:
         with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
+    # small_checkpoint's config: channels 4, n_units 1, head_hidden 8
+    @pytest.mark.parametrize(
+        "field, value, first",
+        [
+            ("n_units", 2, r"'head1_w' has shape \(8, 8\), but the config wants shape \(12, 8\)"),
+            ("n_units", 0, r"'head1_w' has shape \(8, 8\), but the config wants shape \(4, 8\)"),
+            ("head_hidden", 9, r"'head1_b' has shape \(8,\), but the config wants shape \(9,\)"),
+            ("channels", 5, r"'fq1_beta' has shape \(4,\), but the config wants shape \(5,\)"),
+        ],
+    )
+    def test_parameters_not_of_the_config_rejected(self, tmp_path, field, value, first):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_checkpoint())
+        header, blocks = split_checkpoint(path)
+        header["config"][field] = value
+        resign(path, join_checkpoint(header, blocks))
+        with pytest.raises(FormatError, match=f"m.ckpt: parameter {first}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop, message", [
+        ("head2_b", "'head2_b' is missing, but the config wants shape (1,)"),
+        (None, "'zz_extra' has shape (2,), but the config has no such parameter"),
+    ])
+    def test_missing_or_extra_parameter_rejected(self, tmp_path, drop, message):
+        ckpt = small_checkpoint()
+        if drop is None:
+            ckpt.params["zz_extra"] = np.zeros(2, dtype=np.float32)
+        else:
+            del ckpt.params[drop]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: parameter {message}"
+
     # The blocks start: u32 count, then u16 name length, name, u8 ndim, u32 dims.
     @pytest.mark.parametrize(
         "edit",

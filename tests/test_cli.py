@@ -404,6 +404,17 @@ class TestExitCodes:
         assert main(["eval", "--config", str(path), "--checkpoint", str(bad)]) == 3
         assert "residual_kernel" in capsys.readouterr().err
 
+    def test_parameters_not_of_the_checkpoint_config_return_3(self, workspace, tmp_path, capsys):
+        from test_checkpoint import join_checkpoint, resign, split_checkpoint
+
+        ws, path = workspace
+        header, blocks = split_checkpoint(ws / "run" / "checkpoint.ckpt")
+        header["config"]["n_units"] = 2  # 32 px still divides by 4
+        bad = tmp_path / "bad.ckpt"
+        resign(bad, join_checkpoint(header, blocks))
+        assert main(["eval", "--config", str(path), "--checkpoint", str(bad)]) == 3
+        assert f"{bad}: parameter 'head1_w' has shape" in capsys.readouterr().err
+
 
 def write_p6(path, gray=None):
     """A 32 px P6 file: black, or ``gray`` (8-bit samples) in all three channels."""

@@ -199,6 +199,39 @@ class TestCacheMemory:
             assert a.ndim < 2 or a.shape[-1] != 9 * cfg.channels, a.shape
         assert sum(b.nbytes for b in bases.values()) <= 40e6
 
+    def test_backward_consumes_the_cache(self):
+        cfg = ModelConfig(channels=4, n_units=2, input_size=16, head_hidden=8)
+        x = np.random.default_rng(32).standard_normal((2, 16, 16, 1))
+        logits, cache = FractalCNN(cfg).forward(x)
+        feats = cache["features"]
+        FractalCNN(cfg).backward(cache, np.ones_like(logits))
+        assert list(cache) == ["features"] and cache["features"] is feats
+
+    def test_consecutive_steps_hold_one_cache_at_a_time(self):
+        # Two training steps as ``train`` runs them: the cache dropped after
+        # backward, so the second forward's cache never overlaps the first's.
+        model = FractalCNN(ModelConfig(channels=32, n_units=2, input_size=64), seed=5)
+        rng = np.random.default_rng(33)
+        labels = (np.arange(32) % 2).astype(np.float32)
+        batches = [rng.standard_normal((32, 64, 64, 1)).astype(np.float32) for _ in range(2)]
+        cache_bytes = []
+        tracemalloc.start()
+        try:
+            for x in batches:
+                logits, cache = model.forward(x)
+                bases = {id(b): b.nbytes for b in map(_base, _cached_arrays(cache))}
+                cache_bytes.append(sum(bases.values()))
+                model.backward(cache, bce_with_logits(logits, labels)[1])
+                del cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        feature_map = 32 * 64 * 64 * 32 * 4  # one (B, H, W, C) float32 map, 16.8 MB
+        row_block = 3 * feature_map  # one kernel row's im2col block in the weight gradient
+        margin = 3 * feature_map  # one layer's gradients and backward temporaries
+        # 283 + 50 + 50 MB; two overlapping caches (283 MB each) would break it
+        assert peak <= max(cache_bytes) + row_block + margin, (peak, cache_bytes)
+
     def test_fq1_input_is_a_view_of_the_spectrum_output(self):
         cfg = ModelConfig(channels=4, n_units=1, input_size=16, head_hidden=8)
         x = np.random.default_rng(31).standard_normal((2, 16, 16, 1))

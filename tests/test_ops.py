@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,19 @@ STREAM_SHAPES = [
 ]
 
 
+# (input shape, output channels, whether one kernel row's im2col block is
+# big enough for the weight gradient to take row blocks): the train-64 and
+# 224 px spatial convs, then three that keep one GEMM, among them the first
+# layer's one channel and a block under OpenBLAS's small-matrix threshold.
+BACKWARD_SHAPES = [
+    ((32, 64, 64, 32), 32, True),
+    ((2, 224, 224, 32), 32, True),
+    ((3, 48, 40, 16), 8, False),
+    ((32, 64, 64, 1), 32, False),
+    ((4, 16, 16, 16), 16, False),
+]
+
+
 class TestConv3x3Nhwc:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape,o", STREAM_SHAPES)
@@ -141,20 +156,44 @@ class TestConv3x3Nhwc:
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_backward_bitwise_equals_single_gemm_forms(self, dtype):
+    @pytest.mark.parametrize("shape,o,row_blocks", BACKWARD_SHAPES,
+                             ids=["b32_64px", "b2_224px", "b3_48x40", "b32_64px_c1", "b4_16px"])
+    def test_backward_bitwise_equals_single_gemm_forms(self, shape, o, row_blocks, dtype):
+        b, h, w_, c = shape
+        assert (b * h * w_ * 3 * c >= ops._CHUNK_ELEMENTS) == row_blocks
         rng = np.random.default_rng(21)
-        x = rng.standard_normal((3, 48, 40, 16)).astype(dtype)
-        w = rng.standard_normal((3, 3, 16, 8)).astype(dtype)
-        up = rng.standard_normal((3, 48, 40, 8)).astype(dtype)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((3, 3, c, o)).astype(dtype)
+        up = rng.standard_normal((b, h, w_, o)).astype(dtype)
         gx, gw, gb = conv3x3_nhwc_backward(x, w, up)
+        dflat = up.reshape(-1, o)
         _, col = im2col_conv3x3_nhwc(x, w)
-        dflat = up.reshape(-1, 8)
-        assert np.array_equal(gw, (col.T @ dflat).reshape(3, 3, 16, 8))
+        assert np.array_equal(gw, (col.T @ dflat).reshape(3, 3, c, o))
+        del col
         assert np.array_equal(gb, dflat.sum(0))
         wflip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
         assert np.array_equal(gx, im2col_conv3x3_nhwc(up, wflip)[0])
         none, gw2, gb2 = conv3x3_nhwc_backward(x, w, up, need_input_grad=False)
         assert none is None and np.array_equal(gw2, gw) and np.array_equal(gb2, gb)
+
+    def test_weight_gradient_builds_one_kernel_row_at_a_time(self):
+        shape = (32, 64, 64, 32)
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal(shape, dtype=np.float32)
+        w = rng.standard_normal((3, 3, 32, 32), dtype=np.float32)
+        up = rng.standard_normal(shape, dtype=np.float32)
+        full = x.nbytes * 9  # the (B*H*W, 9*C) im2col matrix, 151 MB
+        padded = 32 * 66 * 66 * 32 * 4
+        tracemalloc.start()
+        try:
+            conv3x3_nhwc_backward(x, w, up, need_input_grad=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one kernel row's block (a third of the matrix) and the padded input,
+        # plus 1 MiB for the gradients themselves
+        assert peak <= full // 3 + padded + (1 << 20), peak
+        assert peak < full / 2
 
     @pytest.mark.parametrize("b,h,w,c", [(2, 32, 32, 8), (1, 224, 224, 32), (20, 16, 16, 32),
                                          (7, 50, 3, 1), (1, 5, 7, 2), (0, 4, 4, 3)])

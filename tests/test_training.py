@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from fsf.errors import DataError, NumericError, ParameterError
 from fsf.fileio import Manifest, ManifestEntry
 from fsf.forensics import DistortionConfig
-from fsf.model import ModelConfig
+from fsf.model import FractalCNN, ModelConfig
 from fsf.simulate import CorpusSpec, PipelineConfig, build_corpus
 from fsf.training import TrainConfig, accuracy_table, auc_score, evaluate, train
 
@@ -79,6 +81,21 @@ class TestTrain:
         manifest = Manifest(entries, root=str(tmp_path))
         with pytest.raises(DataError):
             train(manifest, tiny_model_cfg(), tiny_train_cfg())
+
+    def test_each_step_cache_is_dropped_before_the_next_forward(self, tiny_corpus, monkeypatch):
+        forward = FractalCNN.forward
+        steps = []  # weak references to each training step's cached features
+
+        def tracked(self, x, keep_cache=True):
+            assert all(ref() is None for ref in steps), "an earlier step's cache is alive"
+            logits, cache = forward(self, x, keep_cache)
+            if keep_cache:
+                steps.append(weakref.ref(cache["features"]))
+            return logits, cache
+
+        monkeypatch.setattr(FractalCNN, "forward", tracked)
+        train(tiny_corpus["train"], tiny_model_cfg(), tiny_train_cfg(max_epochs=2))
+        assert len(steps) == 6  # 42 training images in batches of 16, two epochs
 
     def test_augment_crop_mismatch_rejected(self, tiny_corpus):
         from fsf.forensics import AugmentPolicy
