@@ -147,10 +147,12 @@ def magnitude_backward(
 
     Uses d|z|/dz = conj(z)/|z| plus linearity of the DFT, so the whole
     gradient is one forward transform of the reweighted spectrum.  Bins with
-    magnitude below ``eps_mag`` contribute zero gradient.  Returns the real
-    part as a (possibly strided) view.
+    magnitude below ``eps_mag`` contribute zero gradient.  The reweighted
+    spectrum is built in one complex buffer; the arguments are not written.
+    Returns the real part as a (possibly strided) view.
     """
-    ratio = np.where(
-        magnitude > eps_mag, np.conj(spectrum) / np.maximum(magnitude, eps_mag), 0.0
-    )
-    return dft2(upstream * ratio).real
+    ratio = np.conjugate(spectrum, dtype=np.result_type(spectrum, magnitude, upstream))
+    np.divide(ratio, np.maximum(magnitude, eps_mag), out=ratio)
+    ratio[~(magnitude > eps_mag)] = 0
+    ratio *= upstream
+    return dft2(ratio).real

@@ -22,7 +22,12 @@ Activations are kept channel-last (B, H, W, C), the layout of the
 convolutions' im2col rows; the spectrum stage transposes to channel-first
 for the trailing-axes transform and back.  For the backward pass each
 convolution caches its input (a quadrant view for the branch convolutions),
-not its im2col matrix, which is nine times larger.  The backward pass
+not its im2col matrix, which is nine times larger.  The cache keeps only
+what backward cannot recompute bitwise: a conv-norm-act block keeps its
+input and its norm's ``xhat``, not the norm output, which backward rebuilds
+as ``xhat * gain + beta`` with the forward's own operations; the spectrum
+stage keeps the complex transform ``z`` and the standardized ``shat``, not
+``|z|``, which backward takes again.  The backward pass
 consumes that cache from the head down, popping each layer's entry so its
 activations are freed as soon as its gradients are done; a cache serves one
 backward pass.  Inference keeps no cache and runs steps 1-2 one image at a
@@ -175,13 +180,18 @@ class FractalCNN:
         n, norm_cache = instance_norm_nhwc(z, p[f"{name}_g"], p[f"{name}_beta"], NORM_EPS)
         y = leaky_relu(n, LEAKY_SLOPE)
         if keep:
-            cache[name] = (x, n, norm_cache)
+            cache[name] = (x, norm_cache)
         return y
 
     def _conv_norm_act_backward(self, upstream, name, cache, grads, need_input=True):
-        x, n, norm_cache = cache.pop(name)
+        x, norm_cache = cache.pop(name)
+        xhat, _, gain = norm_cache
+        n = xhat * gain  # the norm output, bitwise as instance_norm_nhwc builds it
+        n += self.params[f"{name}_beta"]
         dn = leaky_relu_backward(n, upstream, LEAKY_SLOPE)
+        del n, xhat
         dz, dg, dbeta = instance_norm_nhwc_backward(norm_cache, dn)
+        del dn, norm_cache  # before the conv backward allocates its blocks
         dx, dw, _ = conv3x3_nhwc_backward(
             x, self.params[f"{name}_w"], dz, need_input_grad=need_input
         )
@@ -220,17 +230,27 @@ class FractalCNN:
         shat = (lg - mu) * inv
         out = shat.transpose(0, 2, 3, 1).astype(x.dtype, copy=False)
         if keep:
-            cache["spectrum"] = (z, mag, shat, inv)
+            cache["spectrum"] = (z, shat, inv)
         return out
 
     def _spectrum_normalize_backward(self, upstream, cache):
-        z, mag, shat, inv = cache.pop("spectrum")
-        ds = np.ascontiguousarray(upstream.transpose(0, 3, 1, 2))
-        mean_d = ds.mean(axis=(2, 3), keepdims=True)
-        mean_ds = (ds * shat).mean(axis=(2, 3), keepdims=True)
-        dlg = inv * (ds - mean_d - shat * mean_ds)
-        dmag = dlg / (1.0 + mag)
-        dt = magnitude_backward(z, mag, dmag, MAG_EPS)
+        """Input gradient of the spectrum stage.  ``|z|`` is recomputed, not
+        cached, and ``dlg = inv * (ds - mean_d - shat * mean_ds)`` and
+        ``dmag = dlg / (1 + |z|)`` are built in the buffer of ``ds``."""
+        z, shat, inv = cache.pop("spectrum")
+        d = np.ascontiguousarray(upstream.transpose(0, 3, 1, 2))  # ds, then dlg, then dmag
+        mean_d = d.mean(axis=(2, 3), keepdims=True)
+        t = d * shat
+        mean_ds = t.mean(axis=(2, 3), keepdims=True)
+        np.multiply(shat, mean_ds, out=t)
+        del shat
+        d -= mean_d
+        d -= t
+        d *= inv
+        del t
+        mag = np.abs(z)
+        d /= 1.0 + mag
+        dt = magnitude_backward(z, mag, d, MAG_EPS)
         return np.ascontiguousarray(dt.transpose(0, 2, 3, 1)).astype(upstream.dtype, copy=False)
 
     # -- stages -----------------------------------------------------------

@@ -4,8 +4,9 @@ The detector's operations work on channel-last batches (B, H, W, C).  In
 that layout each im2col row (the 3x3 window of one output pixel, 9*C
 values) is nine contiguous channel runs; the convolution copies those rows
 chunk by chunk into a reused workspace instead of building the whole
-matrix; the weight gradient copies them one kernel row at a time.  The
-simulator's ``conv2d`` and ``transposed_conv2d`` take one C x H x W image.
+matrix; the weight gradient copies them one kernel row at a time, straight
+from the unpadded input.  The simulator's ``conv2d`` and
+``transposed_conv2d`` take one C x H x W image.
 
 All backward functions return analytic gradients; there is no autodiff graph.
 """
@@ -83,6 +84,22 @@ def conv3x3_nhwc(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
     return out.reshape(b, h, w, o)
 
 
+def _kernel_row(dst: np.ndarray, x: np.ndarray, dy: int) -> None:
+    """``dst[:, i, j, kx] = x[:, i + dy, j + kx - 1]``, zero where that falls
+    outside ``x``: one kernel row of the zero-padded input's im2col rows,
+    (B, H, W, 3, C), copied without the pad."""
+    h, w = x.shape[1:3]
+    y0, y1 = max(0, -dy), h - max(0, dy)
+    dst[:, :y0] = 0
+    dst[:, y1:] = 0
+    src, rows = x[:, y0 + dy:y1 + dy], dst[:, y0:y1]
+    if w > 2:  # inner columns: each pixel's three taps are one run of 3*C
+        np.copyto(rows[:, :, 1:w - 1], sliding_window_view(src, 3, axis=2).swapaxes(3, 4))
+    for j in {0, w - 1}:
+        for kx in range(3):
+            rows[:, :, j, kx] = src[:, :, j + kx - 1] if 0 <= j + kx - 1 < w else 0
+
+
 def conv3x3_nhwc_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray,
                           need_input_grad: bool = True):
     """Gradients of conv3x3_nhwc. Returns (grad_input, grad_weights, grad_bias).
@@ -96,7 +113,8 @@ def conv3x3_nhwc_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarr
     do not depend on how many rows its GEMM has, so this is bitwise the
     full GEMM while holding a third of its matrix.  A smaller input, whose
     row GEMMs could fall under the cutoff, keeps one GEMM over the full
-    matrix.
+    matrix.  Each kernel row is copied straight from ``x`` with its zero
+    border written in place (``_kernel_row``), so ``x`` is never padded.
     ``need_input_grad=False`` skips the input gradient (first-layer case)
     and returns None in its place.
     """
@@ -108,15 +126,15 @@ def conv3x3_nhwc_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarr
         )
     m = b * h * w
     dflat = upstream.reshape(m, o)
-    view = _im2col_view(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))))
     rows = 1 if m * 3 * c >= _CHUNK_ELEMENTS else 3  # kernel rows per GEMM
     block = np.empty((b, h, w, rows, 3, c), dtype=x.dtype)
     grad_w = np.empty((3, 3, c, o), dtype=np.result_type(x, upstream))
     for ky in range(0, 3, rows):
-        np.copyto(block, view[:, :, :, ky:ky + rows])
+        for r in range(rows):
+            _kernel_row(block[:, :, :, r], x, ky + r - 1)
         np.matmul(block.reshape(m, rows * 3 * c).T, dflat,
                   out=grad_w[ky:ky + rows].reshape(rows * 3 * c, o))
-    del block, view  # before the input-gradient conv allocates its own
+    del block  # before the input-gradient conv allocates its own
     grad_b = dflat.sum(axis=0)
     if not need_input_grad:
         return None, grad_w, grad_b
@@ -259,13 +277,20 @@ def instance_norm_nhwc(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: f
 def instance_norm_nhwc_backward(cache, upstream: np.ndarray):
     """Gradients of instance_norm_nhwc: (grad_x, grad_gain, grad_bias)."""
     xhat, inv, gain = cache
-    grad_gain = (upstream * xhat).sum(axis=(0, 1, 2))
+    # one product buffer serves upstream*xhat, dxhat*xhat and xhat*mean_dx,
+    # and grad_x = inv * (dxhat - mean_d - xhat*mean_dx) is built in dxhat
+    dtype = np.result_type(upstream, xhat, inv, gain)
+    t = np.multiply(upstream, xhat, dtype=dtype)
+    grad_gain = t.sum(axis=(0, 1, 2))
     grad_bias = upstream.sum(axis=(0, 1, 2))
-    dxhat = upstream * gain
+    dxhat = np.multiply(upstream, gain, dtype=dtype)
     mean_d = dxhat.mean(axis=(1, 2), keepdims=True)
-    mean_dx = (dxhat * xhat).mean(axis=(1, 2), keepdims=True)
-    grad_x = inv * (dxhat - mean_d - xhat * mean_dx)
-    return grad_x, grad_gain, grad_bias
+    mean_dx = np.multiply(dxhat, xhat, out=t).mean(axis=(1, 2), keepdims=True)
+    np.multiply(xhat, mean_dx, out=t)
+    dxhat -= mean_d
+    dxhat -= t
+    dxhat *= inv
+    return dxhat, grad_gain, grad_bias
 
 
 # ---------------------------------------------------------------------------

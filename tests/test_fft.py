@@ -240,3 +240,29 @@ class TestMagnitudeBackward:
         grad = plane_gradient(x, upstream)
         fd = fd_gradient(lambda a: float(np.sum(upstream * spectrum_of(a))), x.copy())
         assert rel_err(grad, fd) < 1e-4
+
+    @pytest.mark.parametrize("dtype,up_dtype", [(np.float32, np.float32),
+                                                (np.float64, np.float64),
+                                                (np.float32, np.float64)])
+    def test_matches_the_reference_expression_and_keeps_its_arguments(self, dtype, up_dtype):
+        # a batched channel-first stack, as the detector's spectrum stage runs
+        # it; the constant plane has exact zero bins, which get zero gradient
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 3, 8, 12)).astype(dtype)
+        x[1, 2] = 1.0
+        z = dft2(x)
+        mag = np.abs(z)
+        upstream = rng.standard_normal(z.shape).astype(up_dtype)
+        args = (z, mag, upstream)
+        before = [a.copy() for a in args]
+        grad = magnitude_backward(*args, 1e-12)
+        for a, b in zip(args, before):
+            assert a.tobytes() == b.tobytes()
+        ratio = np.where(mag > 1e-12, np.conj(z) / np.maximum(mag, 1e-12), 0.0)
+        want = dft2(upstream * ratio).real
+        assert grad.dtype == want.dtype
+        if up_dtype == dtype:
+            assert np.array_equal(grad, want)
+        else:  # the wider upstream widens the whole reweighting, not only its last product
+            assert np.allclose(grad, want, rtol=1e-5, atol=1e-5)
+        assert (mag[1, 2] == 0).any()

@@ -197,7 +197,8 @@ class TestCacheMemory:
         bases = {id(b): b for b in map(_base, arrays)}
         for a in arrays + list(bases.values()):
             assert a.ndim < 2 or a.shape[-1] != 9 * cfg.channels, a.shape
-        assert sum(b.nbytes for b in bases.values()) <= 40e6
+        cache_bytes = sum(b.nbytes for b in bases.values())
+        assert cache_bytes <= 40e6, cache_bytes
 
     def test_backward_consumes_the_cache(self):
         cfg = ModelConfig(channels=4, n_units=2, input_size=16, head_hidden=8)
@@ -206,6 +207,27 @@ class TestCacheMemory:
         feats = cache["features"]
         FractalCNN(cfg).backward(cache, np.ones_like(logits))
         assert list(cache) == ["features"] and cache["features"] is feats
+
+    def test_step_cache_keeps_no_recomputable_map(self):
+        # B=32, 64 px: backward recomputes each block's norm output n and the
+        # spectrum's |z|, so neither is among the cached arrays
+        model = FractalCNN(ModelConfig(channels=32, n_units=2, input_size=64), seed=6)
+        for name in ("sp1", "sp2", "fq1", "fq2"):  # off the init's n == xhat
+            model.params[f"{name}_g"] += np.float32(0.5)
+            model.params[f"{name}_beta"] += np.float32(0.25)
+        x = np.random.default_rng(34).standard_normal((32, 64, 64, 1)).astype(np.float32)
+        _, cache = model.forward(x)
+        arrays = list(_cached_arrays(cache))
+        bases = {id(b): b for b in map(_base, arrays)}
+        recomputable = [np.abs(cache["spectrum"][0])]
+        for name in ("sp1", "sp2", "fq1", "fq2"):
+            xhat, _, gain = cache[name][-1]
+            recomputable.append(xhat * gain + model.params[f"{name}_beta"])
+        for r in recomputable:
+            for a in arrays + list(bases.values()):
+                assert not (a.shape == r.shape and np.array_equal(a, r)), a.shape
+        cache_bytes = sum(b.nbytes for b in bases.values())
+        assert cache_bytes <= 200e6, cache_bytes  # 198.8 MB; 282.6 MB with n and |z|
 
     def test_consecutive_steps_hold_one_cache_at_a_time(self):
         # Two training steps as ``train`` runs them: the cache dropped after
@@ -228,17 +250,32 @@ class TestCacheMemory:
             tracemalloc.stop()
         feature_map = 32 * 64 * 64 * 32 * 4  # one (B, H, W, C) float32 map, 16.8 MB
         row_block = 3 * feature_map  # one kernel row's im2col block in the weight gradient
-        margin = 3 * feature_map  # one layer's gradients and backward temporaries
-        # 283 + 50 + 50 MB; two overlapping caches (283 MB each) would break it
+        margin = feature_map  # one layer's backward temporary
+        # 199 + 50 + 17 MB (252 MB measured); two overlapping caches
+        # (199 MB each) would break it
         assert peak <= max(cache_bytes) + row_block + margin, (peak, cache_bytes)
 
     def test_fq1_input_is_a_view_of_the_spectrum_output(self):
         cfg = ModelConfig(channels=4, n_units=1, input_size=16, head_hidden=8)
         x = np.random.default_rng(31).standard_normal((2, 16, 16, 1))
         _, cache = FractalCNN(cfg).forward(x)
-        fq1_input, shat = cache["fq1"][0], cache["spectrum"][2]
+        fq1_input, shat = cache["fq1"][0], cache["spectrum"][1]
         assert fq1_input.shape == (2, 16, 16, 4)
         assert np.shares_memory(fq1_input, shat)
+
+
+class TestInPlaceBackward:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_spectrum_backward_keeps_its_upstream_and_cache(self, dtype):
+        model = FractalCNN(toy_config(1, dtype=dtype), seed=7)
+        x = np.random.default_rng(35).standard_normal((2, 16, 16, 1))
+        _, cache = model.forward(x)
+        entry = cache["spectrum"]
+        upstream = np.random.default_rng(36).standard_normal((2, 16, 16, 4)).astype(dtype)
+        before = [a.copy() for a in entry + (upstream,)]
+        model._spectrum_normalize_backward(upstream, {"spectrum": entry})
+        for a, b in zip(entry + (upstream,), before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestGradients:
