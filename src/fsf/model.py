@@ -20,18 +20,24 @@ against.
 
 Activations are kept channel-last (B, H, W, C), the layout of the
 convolutions' im2col rows; the spectrum stage transposes to channel-first
-for the trailing-axes transform and back.  For the backward pass each
-convolution caches its input (a quadrant view for the branch convolutions),
-not its im2col matrix, which is nine times larger.  The cache keeps only
-what backward cannot recompute bitwise: a conv-norm-act block keeps its
-input and its norm's ``xhat``, not the norm output, which backward rebuilds
-as ``xhat * gain + beta`` with the forward's own operations; the spectrum
-stage keeps the complex transform ``z`` and the standardized ``shat``, not
-``|z|``, which backward takes again.  The backward pass
-consumes that cache from the head down, popping each layer's entry so its
-activations are freed as soon as its gradients are done; a cache serves one
-backward pass.  Inference keeps no cache and runs steps 1-2 one image at a
-time (see ``FractalCNN.forward``).
+for the trailing-axes transform and back.  Every channel's spectrum and
+statistics are independent of the others', so the stage runs
+``SPECTRUM_GROUP`` channels at a time, forward and backward, and holds one
+group's complex transform and work buffers instead of every channel's.
+For the backward pass each convolution caches its input (a quadrant view
+for the branch convolutions), not its im2col matrix, which is nine times
+larger.  The cache keeps only what backward cannot recompute bitwise: a
+conv-norm-act block keeps its input and its norm's ``xhat``, not the norm
+output, which backward rebuilds as ``xhat * gain + beta`` with the
+forward's own operations; the spectrum stage keeps, for each channel
+group, the complex transform ``z``, the group's slice of the standardized
+``shat`` (whose channel-last view is ``fq1``'s cached input) and the
+per-plane scale ``inv``, not ``|z|``, which backward takes again.  The
+backward pass consumes that cache from the head down, popping each layer's
+entry (and each spectrum group's) so its activations are freed as soon as
+its gradients are done; a cache serves one backward pass.  Inference keeps
+no cache and runs steps 1-2 one image at a time (see
+``FractalCNN.forward``).
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ BRANCH_NAMES = ("q00", "q01", "q10", "q11")
 LEAKY_SLOPE = 0.2  # every leaky ReLU, and the gain of the Kaiming init
 NORM_EPS = 1e-5  # variance floor of instance norm and of the spectrum standardization
 MAG_EPS = 1e-12  # magnitude floor of the spectrum's backward pass
+SPECTRUM_GROUP = 8  # channels per pass of the spectrum stage
 
 
 @dataclass
@@ -174,14 +181,17 @@ class FractalCNN:
 
         The activation comes last so pooled statistics of the block output
         stay input-dependent (a pooled normalized map would be constant).
+        The conv output is freed once normalized, and without a cache so is
+        ``xhat``, so the activation holds three maps: ``x``, ``n`` and ``y``.
         """
         p = self.params
         z = conv3x3_nhwc(x, p[f"{name}_w"], None)
         n, norm_cache = instance_norm_nhwc(z, p[f"{name}_g"], p[f"{name}_beta"], NORM_EPS)
-        y = leaky_relu(n, LEAKY_SLOPE)
+        del z
         if keep:
             cache[name] = (x, norm_cache)
-        return y
+        del norm_cache
+        return leaky_relu(n, LEAKY_SLOPE)
 
     def _conv_norm_act_backward(self, upstream, name, cache, grads, need_input=True):
         x, norm_cache = cache.pop(name)
@@ -217,41 +227,61 @@ class FractalCNN:
     def _spectrum_normalize(self, x, cache, keep):
         """Channel-wise |DFT|, log scaling, and standardization.
 
-        Input and output are channel-last.  The transform reads a
-        channel-first view, and the output is a channel-last view of
-        ``shat``: the next conv pads (copies) its input anyway.
+        Input and output are channel-last.  Each channel is independent, so
+        the stage runs ``SPECTRUM_GROUP`` channels at a time: ``dft2`` of the
+        group's channel-first view, then ``|z|``, ``log1p`` and
+        ``(lg - mu) * inv`` in place in the group's slice of one ``shat``.
+        ``shat`` has the layout ``dft2`` returns, so each plane's mean and
+        variance sum in the order of an ungrouped pass.  The output is a
+        channel-last view of ``shat``: the next conv pads (copies) its input
+        anyway.
         """
-        z = dft2(x.transpose(0, 3, 1, 2))  # (B,C,H,W)
-        mag = np.abs(z)
-        lg = np.log1p(mag)
-        mu = lg.mean(axis=(2, 3), keepdims=True)
-        var = lg.var(axis=(2, 3), keepdims=True)
-        inv = 1.0 / np.sqrt(var + NORM_EPS)
-        shat = (lg - mu) * inv
-        out = shat.transpose(0, 2, 3, 1).astype(x.dtype, copy=False)
+        xt = x.transpose(0, 3, 1, 2)  # (B,C,H,W)
+        groups = []
+        for c0 in range(0, xt.shape[1], SPECTRUM_GROUP):
+            group = slice(c0, c0 + SPECTRUM_GROUP)
+            z = dft2(xt[:, group])
+            if not c0:
+                shat = np.empty_like(z.real, shape=xt.shape)
+            s = shat[:, group]
+            np.log1p(np.abs(z, out=s), out=s)
+            mu = s.mean(axis=(2, 3), keepdims=True)
+            var = s.var(axis=(2, 3), keepdims=True)
+            inv = 1.0 / np.sqrt(var + NORM_EPS)
+            s -= mu
+            s *= inv
+            if keep:
+                groups.append((z, s, inv))
+            del z  # before the next group's transform
         if keep:
-            cache["spectrum"] = (z, shat, inv)
-        return out
+            cache["spectrum"] = groups
+        return shat.transpose(0, 2, 3, 1).astype(x.dtype, copy=False)
 
     def _spectrum_normalize_backward(self, upstream, cache):
-        """Input gradient of the spectrum stage.  ``|z|`` is recomputed, not
-        cached, and ``dlg = inv * (ds - mean_d - shat * mean_ds)`` and
-        ``dmag = dlg / (1 + |z|)`` are built in the buffer of ``ds``."""
-        z, shat, inv = cache.pop("spectrum")
-        d = np.ascontiguousarray(upstream.transpose(0, 3, 1, 2))  # ds, then dlg, then dmag
-        mean_d = d.mean(axis=(2, 3), keepdims=True)
-        t = d * shat
-        mean_ds = t.mean(axis=(2, 3), keepdims=True)
-        np.multiply(shat, mean_ds, out=t)
-        del shat
-        d -= mean_d
-        d -= t
-        d *= inv
-        del t
-        mag = np.abs(z)
-        d /= 1.0 + mag
-        dt = magnitude_backward(z, mag, d, MAG_EPS)
-        return np.ascontiguousarray(dt.transpose(0, 2, 3, 1)).astype(upstream.dtype, copy=False)
+        """Input gradient of the spectrum stage, one channel group at a time.
+        ``|z|`` is recomputed, not cached, and ``dlg = inv * (ds - mean_d -
+        shat * mean_ds)`` and ``dmag = dlg / (1 + |z|)`` are built in the
+        buffer of the group's channel-first copy of ``ds``.  Each group's
+        ``z`` is dropped once its gradient is written."""
+        groups = cache.pop("spectrum")
+        dx = np.empty(upstream.shape, upstream.dtype)
+        for c0 in range(0, upstream.shape[3], SPECTRUM_GROUP):
+            z, shat, inv = groups.pop(0)
+            group = slice(c0, c0 + SPECTRUM_GROUP)
+            d = np.ascontiguousarray(upstream[..., group].transpose(0, 3, 1, 2))  # ds, dlg, dmag
+            mean_d = d.mean(axis=(2, 3), keepdims=True)
+            t = d * shat
+            mean_ds = t.mean(axis=(2, 3), keepdims=True)
+            np.multiply(shat, mean_ds, out=t)
+            d -= mean_d
+            d -= t
+            d *= inv
+            del t
+            mag = np.abs(z)
+            d /= 1.0 + mag
+            dx[..., group] = magnitude_backward(z, mag, d, MAG_EPS).transpose(0, 2, 3, 1)
+            del z, mag, d
+        return dx
 
     # -- stages -----------------------------------------------------------
 
@@ -284,16 +314,20 @@ class FractalCNN:
             dvector[:, None, None, :] / (fc_shape[1] * fc_shape[2]), fc_shape
         ).astype(self.config.np_dtype)
         dfused = self._plain_conv_backward(dfc, f"u{n}_fuse", cache, grads)
+        del dfc
         dbranches = elementwise_mul_backward(branches, dfused)
+        del branches, dfused
         # next-level average routes dh/4 back into each pre-conv quadrant
         dquarter = dh / 4.0
-        d00, d01, d10, d11 = [
-            self._plain_conv_backward(db, f"u{n}_{q}", cache, grads) + dquarter
-            for db, q in zip(dbranches, BRANCH_NAMES)
-        ]
-        return np.concatenate(
-            [np.concatenate([d00, d01], axis=2), np.concatenate([d10, d11], axis=2)], axis=1
-        )
+        b, h, w, c = dh.shape
+        dx = np.empty((b, 2 * h, 2 * w, c), dtype=dquarter.dtype)
+        for i, q in enumerate(BRANCH_NAMES):
+            ys, xs = divmod(i, 2)
+            dq = self._plain_conv_backward(dbranches[i], f"u{n}_{q}", cache, grads)
+            dbranches[i] = None
+            np.add(dq, dquarter, out=dx[:, ys * h:(ys + 1) * h, xs * w:(xs + 1) * w])
+            del dq  # before the next branch's conv backward
+        return dx
 
     # -- full passes ------------------------------------------------------
 

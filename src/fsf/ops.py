@@ -201,8 +201,16 @@ def transposed_conv2d(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 # Median filter
 # ---------------------------------------------------------------------------
 
+# Window elements (rows * W * k * k) of one band of the median filter.
+_MEDIAN_BAND = 1 << 18
+
+
 def median_filter(image: np.ndarray, k: int) -> np.ndarray:
-    """k x k median with reflect borders on an H x W image."""
+    """k x k median with reflect borders on an H x W image.
+
+    Runs in bands of output rows, each holding at most about
+    ``_MEDIAN_BAND`` window elements, so the (H, W, k*k) window copy is
+    never built whole."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise DimensionError(f"median_filter expects H x W input, got {image.shape}")
@@ -212,15 +220,26 @@ def median_filter(image: np.ndarray, k: int) -> np.ndarray:
         return image.copy()
     if not np.issubdtype(image.dtype, np.inexact):
         image = image.astype(np.float64)  # np.median's result type
+    h, w = image.shape
+    mid = k * k // 2
     xp = np.pad(image, k // 2, mode="reflect")
-    win = sliding_window_view(xp, (k, k)).reshape(image.shape + (k * k,))
-    # The middle order statistic, as np.median selects it for an odd window;
-    # its mean of one element adds it to +0.0, which turns -0.0 into +0.0.
-    out = np.partition(win, k * k // 2, axis=-1)[..., k * k // 2] + 0.0
     nan = np.isnan(xp)
-    if nan.any():  # NaN sorts last, so np.median's own NaN check decides
-        hit = sliding_window_view(nan, (k, k)).any(axis=(-2, -1))
-        out[hit] = np.median(win[hit], axis=-1)
+    has_nan = nan.any()
+    out = np.empty(image.shape, image.dtype)
+    rows = max(1, _MEDIAN_BAND // (w * k * k))
+    for y0 in range(0, h, rows):
+        y1 = min(h, y0 + rows)
+        win = sliding_window_view(xp[y0:y1 + k - 1], (k, k)).reshape(y1 - y0, w, k * k)
+        if has_nan:  # NaN sorts last, so np.median's own NaN check decides
+            hit = sliding_window_view(nan[y0:y1 + k - 1], (k, k)).any(axis=(-2, -1))
+            nan_median = np.median(win[hit], axis=-1)  # reads the windows unpartitioned
+        # The middle order statistic, as np.median selects it for an odd
+        # window; its mean of one element adds it to +0.0, which turns -0.0
+        # into +0.0.
+        win.partition(mid, axis=-1)
+        np.add(win[..., mid], 0.0, out=out[y0:y1])
+        if has_nan:
+            out[y0:y1][hit] = nan_median
     return out
 
 

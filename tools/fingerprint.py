@@ -2,11 +2,12 @@
 
 Each line is ``<name> <sha256>``.  The outputs are the detector's logits,
 features and gradients for five model configurations in float32 and
-float64, a 2-epoch 64 px training history with its checkpoint bytes, a
-small corpus with its ``features_export`` and ``average_spectrum_report``
-files, the distortion stack's pixels on a few corpus images, and
-``evaluate`` of that checkpoint on the corpus under four distortions.  Two commits compute the same floats exactly when their lines
-match:
+float64, the noise residuals of the 224 px inputs (and of one with NaNs),
+a 2-epoch 64 px training history with its checkpoint bytes, a small corpus
+with its ``features_export`` and ``average_spectrum_report`` files, the
+distortion stack's pixels on a few corpus images, and ``evaluate`` of that
+checkpoint on the corpus under four distortions.  Two commits compute the
+same floats exactly when their lines match:
 
     PYTHONPATH=src python3 tools/fingerprint.py > before.txt   # commit A
     git checkout B
@@ -94,6 +95,20 @@ def model_lines(models):
             yield f"{tag}/grads", _digest(*(k.encode() + grads[k].tobytes() for k in sorted(grads)))
 
 
+def residual_lines(name, batch, size):
+    """Noise residuals of one model configuration's inputs, in both dtypes,
+    and of one of them with NaNs; at 224 px each median runs in several row
+    bands."""
+    for dtype in ("float32", "float64"):
+        rng = np.random.default_rng(23)  # the inputs of ``model_lines``
+        x = (0.2 * rng.standard_normal((batch, size, size, 1))).astype(dtype)
+        yield f"residual/{name}/{dtype}", _digest(*(noise_residual(im[..., 0]).tobytes() for im in x))
+    image = x[0, ..., 0].copy()
+    image[size // 3::9, ::11] = np.nan
+    image[size // 2, size // 5] = -np.nan
+    yield f"residual/{name}/nan", _digest(noise_residual(image).tobytes())
+
+
 def train_lines(work, size, per_class, model_fields):
     """History and checkpoint bytes of a 2-epoch run with augmentation on."""
     pipe = PipelineConfig("tconv_conv", 2, 301, size // 4, name="tconv_d2", kernel_scope="image")
@@ -162,12 +177,14 @@ def fingerprint(smoke: bool = False):
     with tempfile.TemporaryDirectory() as work:
         if smoke:
             yield from model_lines(SMOKE_MODELS)
+            yield from residual_lines("16px-b2", 2, 16)
             yield from train_lines(work, 16, 6, dict(channels=4, n_units=1, head_hidden=8))
             yield from corpus_lines(work, 2)
             yield from distortion_lines(work, 2)
             yield from eval_lines(work)
         else:
             yield from model_lines(MODELS)
+            yield from residual_lines("224px-b2", 2, 224)
             yield from train_lines(work, 64, 20, dict(channels=32, n_units=2))
             yield from corpus_lines(work, 10)
             yield from distortion_lines(work, 6)
