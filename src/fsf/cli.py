@@ -138,6 +138,10 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
     for n in ablate_n:
         if not 0 <= check_type(n, int, "ablate_n entry", ConfigError) <= 4:
             raise ConfigError(f"ablate_n entries must be in 0..4, got {n}")
+    # each entry is one column of the eval or ablation table
+    for key, items in (("distortions", [d.label for d in distortions]), ("ablate_n", ablate_n)):
+        if not items or len(set(items)) != len(items):
+            raise ConfigError(f"{key} must be a non-empty list without repeats, got {items}")
 
     digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
     return ExperimentConfig(

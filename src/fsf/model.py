@@ -35,9 +35,9 @@ group, the complex transform ``z``, the group's slice of the standardized
 per-plane scale ``inv``, not ``|z|``, which backward takes again.  The
 backward pass consumes that cache from the head down, popping each layer's
 entry (and each spectrum group's) so its activations are freed as soon as
-its gradients are done; a cache serves one backward pass.  Inference keeps
-no cache and runs steps 1-2 one image at a time (see
-``FractalCNN.forward``).
+its gradients are done; a cache serves one backward pass.  Inference
+(``predict``, ``features``) keeps no cache and runs steps 1-2 one image at a
+time.
 """
 
 from __future__ import annotations
@@ -176,19 +176,19 @@ class FractalCNN:
 
     # -- layer helpers ----------------------------------------------------
 
-    def _conv_norm_act(self, x, name, cache, keep):
+    def _conv_norm_act(self, x, name, cache):
         """conv -> instance norm -> leaky ReLU.
 
         The activation comes last so pooled statistics of the block output
         stay input-dependent (a pooled normalized map would be constant).
-        The conv output is freed once normalized, and without a cache so is
-        ``xhat``, so the activation holds three maps: ``x``, ``n`` and ``y``.
+        The conv output is freed once normalized, and with ``cache=None`` so
+        is ``xhat``, so the activation holds three maps: ``x``, ``n`` and ``y``.
         """
         p = self.params
         z = conv3x3_nhwc(x, p[f"{name}_w"], None)
         n, norm_cache = instance_norm_nhwc(z, p[f"{name}_g"], p[f"{name}_beta"], NORM_EPS)
         del z
-        if keep:
+        if cache is not None:
             cache[name] = (x, norm_cache)
         del norm_cache
         return leaky_relu(n, LEAKY_SLOPE)
@@ -210,9 +210,9 @@ class FractalCNN:
         grads[f"{name}_beta"] = dbeta
         return dx
 
-    def _plain_conv(self, x, name, cache, keep):
+    def _plain_conv(self, x, name, cache):
         z = conv3x3_nhwc(x, self.params[f"{name}_w"], self.params[f"{name}_b"])
-        if keep:
+        if cache is not None:
             cache[name] = x
         return z
 
@@ -224,7 +224,7 @@ class FractalCNN:
 
     # -- spectrum stage ---------------------------------------------------
 
-    def _spectrum_normalize(self, x, cache, keep):
+    def _spectrum_normalize(self, x, cache):
         """Channel-wise |DFT|, log scaling, and standardization.
 
         Input and output are channel-last.  Each channel is independent, so
@@ -250,10 +250,10 @@ class FractalCNN:
             inv = 1.0 / np.sqrt(var + NORM_EPS)
             s -= mu
             s *= inv
-            if keep:
+            if cache is not None:
                 groups.append((z, s, inv))
             del z  # before the next group's transform
-        if keep:
+        if cache is not None:
             cache["spectrum"] = groups
         return shat.transpose(0, 2, 3, 1).astype(x.dtype, copy=False)
 
@@ -285,22 +285,22 @@ class FractalCNN:
 
     # -- stages -----------------------------------------------------------
 
-    def _highpass(self, x, cache, keep):
-        h = self._conv_norm_act(x, "sp1", cache, keep)
-        h = self._conv_norm_act(h, "sp2", cache, keep)
-        h = self._spectrum_normalize(h, cache, keep)
-        h = self._conv_norm_act(h, "fq1", cache, keep)
-        return self._conv_norm_act(h, "fq2", cache, keep)
+    def _highpass(self, x, cache):
+        h = self._conv_norm_act(x, "sp1", cache)
+        h = self._conv_norm_act(h, "sp2", cache)
+        h = self._spectrum_normalize(h, cache)
+        h = self._conv_norm_act(h, "fq1", cache)
+        return self._conv_norm_act(h, "fq2", cache)
 
-    def _fractal_unit(self, h, n, cache, keep):
+    def _fractal_unit(self, h, n, cache):
         # quadrant views of the channel-last map
         blocks = [np.moveaxis(b, 1, 3) for b in quadrant_split(np.moveaxis(h, 3, 1))]
         branches = [
-            self._plain_conv(block, f"u{n}_{q}", cache, keep)
+            self._plain_conv(block, f"u{n}_{q}", cache)
             for block, q in zip(blocks, BRANCH_NAMES)
         ]
-        fc = self._plain_conv(elementwise_mul(*branches), f"u{n}_fuse", cache, keep)
-        if keep:
+        fc = self._plain_conv(elementwise_mul(*branches), f"u{n}_fuse", cache)
+        if cache is not None:
             cache[f"u{n}"] = branches
         return fc.mean(axis=(1, 2)), quadrant_average(*blocks)
 
@@ -315,45 +315,44 @@ class FractalCNN:
         ).astype(self.config.np_dtype)
         dfused = self._plain_conv_backward(dfc, f"u{n}_fuse", cache, grads)
         del dfc
+        # all four at once: one at a time would hold the factors and dfused longer
         dbranches = elementwise_mul_backward(branches, dfused)
         del branches, dfused
-        # next-level average routes dh/4 back into each pre-conv quadrant
-        dquarter = dh / 4.0
         b, h, w, c = dh.shape
-        dx = np.empty((b, 2 * h, 2 * w, c), dtype=dquarter.dtype)
+        dx = np.empty((b, 2 * h, 2 * w, c), dtype=dh.dtype)
         for i, q in enumerate(BRANCH_NAMES):
             ys, xs = divmod(i, 2)
             dq = self._plain_conv_backward(dbranches[i], f"u{n}_{q}", cache, grads)
             dbranches[i] = None
-            np.add(dq, dquarter, out=dx[:, ys * h:(ys + 1) * h, xs * w:(xs + 1) * w])
+            # next-level average routes dh/4 back into each pre-conv quadrant
+            quadrant = dx[:, ys * h:(ys + 1) * h, xs * w:(xs + 1) * w]
+            np.divide(dh, 4.0, out=quadrant)
+            quadrant += dq
             del dq  # before the next branch's conv backward
         return dx
 
     # -- full passes ------------------------------------------------------
 
-    def _trunk(self, x, cache, keep):
+    def _trunk(self, x, cache):
         """High-pass block, fractal units and pooled levels: (B, feature_width) vectors."""
-        h = self._highpass(x, cache, keep)
+        h = self._highpass(x, cache)
         level_vectors = []
         for n in range(self.config.n_units):
-            vector, h = self._fractal_unit(h, n, cache, keep)
+            vector, h = self._fractal_unit(h, n, cache)
             level_vectors.append(vector)
         level_vectors.append(h.mean(axis=(1, 2)))
-        if keep:
+        if cache is not None:
             cache["final_shape"] = h.shape
         return np.concatenate(level_vectors, axis=1)
 
-    def forward(self, x: np.ndarray, keep_cache: bool = True):
-        """Forward pass (B, H, W, 1) -> logits (B,) plus cache.
+    def _head(self, feats):
+        """(B, feature_width) vectors -> (logits (B,), hidden pre-activation, activation)."""
+        pre = feats @ self.params["head1_w"] + self.params["head1_b"]
+        act = leaky_relu(pre, LEAKY_SLOPE)
+        return (act @ self.params["head2_w"] + self.params["head2_b"])[:, 0], pre, act
 
-        With ``keep_cache`` (a training step) the trunk runs on the whole
-        batch, since the backward pass sums gradients over it.  Without, the
-        trunk runs on one image at a time, so inference holds one image's
-        feature maps whatever B is; every trunk op works per image, so the
-        level vectors are those of the batched trunk.  The head's two GEMMs
-        still run once on the stacked (B, feature_width) vectors: at one row
-        numpy takes a GEMV path that sums in another order.
-        """
+    def _input(self, x):
+        """``x`` in the model's dtype, checked to be (B, input_size, input_size, 1)."""
         cfg = self.config
         x = np.asarray(x, dtype=cfg.np_dtype)
         if x.ndim != 4 or x.shape[3] != 1:
@@ -363,28 +362,27 @@ class FractalCNN:
                 f"model wants {cfg.input_size}x{cfg.input_size} input, got "
                 f"{x.shape[1]}x{x.shape[2]}"
             )
+        return x
+
+    def forward(self, x: np.ndarray):
+        """Training forward pass (B, H, W, 1) -> logits (B,) plus cache, with
+        the trunk on the whole batch, since the backward pass sums over it."""
         cache: dict = {}
-        if keep_cache:
-            feats = self._trunk(x, cache, True)
-        else:
-            feats = np.empty((x.shape[0], cfg.feature_width), dtype=cfg.np_dtype)
-            for i in range(x.shape[0]):
-                feats[i] = self._trunk(x[i:i + 1], cache, False)[0]
-        pre = feats @ self.params["head1_w"] + self.params["head1_b"]
-        act = leaky_relu(pre, LEAKY_SLOPE)
-        logits = (act @ self.params["head2_w"] + self.params["head2_b"])[:, 0]
-        if keep_cache:
-            cache["head"] = (feats, pre, act)
+        feats = self._trunk(self._input(x), cache)
+        logits, pre, act = self._head(feats)
+        cache["head"] = (feats, pre, act)
         cache["features"] = feats
         return logits, cache
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        """Concatenated level vectors (B, channels * (n_units + 1)), no caching.
-
-        Computed one image at a time (see ``forward``), so each row is that
-        image's own and does not depend on the rest of the batch."""
-        _, cache = self.forward(x, keep_cache=False)
-        return cache["features"]
+        """Level vectors (B, feature_width), no cache, the trunk run on one image
+        at a time: inference holds one image's maps whatever B is, and a row
+        does not depend on the rest of the batch."""
+        x = self._input(x)
+        feats = np.empty((x.shape[0], self.config.feature_width), dtype=x.dtype)
+        for i in range(x.shape[0]):
+            feats[i] = self._trunk(x[i:i + 1], None)[0]
+        return feats
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> dict:
         """Parameter gradients for the cached forward pass.
@@ -428,9 +426,9 @@ class FractalCNN:
         return grads
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Logits without gradient bookkeeping."""
-        logits, _ = self.forward(x, keep_cache=False)
-        return logits
+        """Logits without a cache: the head runs once on the stacked ``features``
+        (at one row numpy takes a GEMV path that sums in another order)."""
+        return self._head(self.features(x))[0]
 
 
 # ---------------------------------------------------------------------------

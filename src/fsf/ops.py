@@ -6,7 +6,7 @@ values) is nine contiguous channel runs; the convolution copies those rows
 chunk by chunk into a reused workspace instead of building the whole
 matrix; the weight gradient copies them one kernel row at a time, straight
 from the unpadded input.  The simulator's ``conv2d`` and
-``transposed_conv2d`` take one C x H x W image.
+``transposed_conv2d`` take one H x W plane and one kernel.
 
 All backward functions return analytic gradients; there is no autodiff graph.
 """
@@ -144,57 +144,35 @@ def conv3x3_nhwc_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarr
     return conv3x3_nhwc(upstream, wflip, None), grad_w, grad_b
 
 
-def conv2d(x: np.ndarray, kernels: np.ndarray, bias=None) -> np.ndarray:
-    """3x3 cross-correlation on a C x H x W image, zero padding 1, stride 1.
-
-    kernels: (O, C, 3, 3); bias: (O,) or None.  Output is O x H x W.
-    """
-    x = np.asarray(x)
-    kernels = np.asarray(kernels)
-    if x.ndim != 3:
-        raise DimensionError(f"conv2d expects C x H x W input, got {x.shape}")
-    if kernels.ndim != 4 or kernels.shape[2:] != (3, 3):
-        raise DimensionError(f"conv2d expects O x C x 3 x 3 kernels, got {kernels.shape}")
-    if kernels.shape[1] != x.shape[0]:
-        raise DimensionError(
-            f"kernel channels {kernels.shape[1]} != input channels {x.shape[0]}"
-        )
-    xh = np.ascontiguousarray(x.transpose(1, 2, 0))[None]
-    wh = np.ascontiguousarray(kernels.transpose(2, 3, 1, 0))
-    out = conv3x3_nhwc(xh, wh, None if bias is None else np.asarray(bias))
-    return np.ascontiguousarray(out[0].transpose(2, 0, 1))
+def conv2d(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """3x3 cross-correlation of an H x W plane, zero padding 1, stride 1:
+    ``conv3x3_nhwc`` with one input and one output channel."""
+    plane, kernel = np.asarray(plane), np.asarray(kernel)
+    if plane.ndim != 2 or kernel.shape != (3, 3):
+        raise DimensionError(f"conv2d takes (H, W) and (3, 3), got {plane.shape}, {kernel.shape}")
+    return conv3x3_nhwc(plane[None, :, :, None], kernel[:, :, None, None])[0, :, :, 0]
 
 
 # ---------------------------------------------------------------------------
 # 4x4 stride-2 transposed convolution (simulator use; no gradient needed)
 # ---------------------------------------------------------------------------
 
-def transposed_conv2d(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Fractionally strided convolution: (C, H, W) -> (O, 2H, 2W).
+def transposed_conv2d(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Fractionally strided convolution of an H x W plane: 2H x 2W out.
 
-    kernels: (C, O, 4, 4).  Padding is fixed at 1 so the output is exactly
-    twice the input extent.
+    kernel: (4, 4); each input pixel stamps ``kernel[ky, kx] * pixel`` on
+    the stride-2 grid.  Padding is fixed at 1 so the output is exactly twice
+    the input extent.
     """
-    x = np.asarray(x)
-    kernels = np.asarray(kernels)
-    if x.ndim != 3:
-        raise DimensionError(f"expected C x H x W input, got {x.shape}")
-    if kernels.ndim != 4 or kernels.shape[2:] != (4, 4):
-        raise DimensionError(f"expected C x O x 4 x 4 kernels, got {kernels.shape}")
-    if kernels.shape[0] != x.shape[0]:
-        raise DimensionError(
-            f"kernel channels {kernels.shape[0]} != input channels {x.shape[0]}"
-        )
-    c, h, w = x.shape
-    o = kernels.shape[1]
-    full = np.zeros((o, 2 * h + 2, 2 * w + 2), dtype=np.result_type(x, kernels))
-    flat = x.reshape(c, h * w)
+    plane, kernel = np.asarray(plane), np.asarray(kernel)
+    if plane.ndim != 2 or kernel.shape != (4, 4):
+        raise DimensionError(f"expected (H, W) and (4, 4), got {plane.shape}, {kernel.shape}")
+    h, w = plane.shape
+    full = np.zeros((2 * h + 2, 2 * w + 2), dtype=np.result_type(plane, kernel))
     for ky in range(4):
         for kx in range(4):
-            tap = kernels[:, :, ky, kx]  # (C, O)
-            stamped = (tap.T @ flat).reshape(o, h, w)
-            full[:, ky:ky + 2 * h:2, kx:kx + 2 * w:2] += stamped
-    return full[:, 1:2 * h + 1, 1:2 * w + 1]
+            full[ky:ky + 2 * h:2, kx:kx + 2 * w:2] += kernel[ky, kx] * plane
+    return full[1:2 * h + 1, 1:2 * w + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,8 @@ def upsample_nearest(image: np.ndarray) -> np.ndarray:
 def upsample_tconv(image: np.ndarray, kernels) -> np.ndarray:
     """One learned-generator-style 2x stage; ``kernels`` is (tconv, conv1, conv2)."""
     tconv, conv1, conv2 = kernels
-    x = transposed_conv2d(np.asarray(image)[None], tconv)
-    x = leaky_relu(conv2d(x, conv1), 0.2)
-    return conv2d(x, conv2)[0]
+    x = leaky_relu(conv2d(transposed_conv2d(image, tconv), conv1), 0.2)
+    return conv2d(x, conv2)
 
 
 # ---------------------------------------------------------------------------
@@ -127,25 +126,23 @@ def letter_a_glyph(h: int, w_half: int) -> np.ndarray:
 # Image synthesis
 # ---------------------------------------------------------------------------
 
-def synth_real(seed: int, size, spectral_exponent: float = 1.0) -> np.ndarray:
+def synth_real(seed: int, size: int, spectral_exponent: float = 1.0) -> np.ndarray:
     """Gaussian random field with |F| ~ f^(-exponent), min-max scaled to [0, 1].
 
     The surrogate for the "real" class: smooth power-law spectral decay,
-    no periodic replication.  Deterministic per seed.
+    no periodic replication.  Deterministic per seed; ``size`` x ``size``.
     """
-    h, w = (size, size) if np.isscalar(size) else size
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((h, w))
-    fu = np.minimum(np.arange(h), h - np.arange(h)) / h
-    fv = np.minimum(np.arange(w), w - np.arange(w)) / w
-    freq = np.sqrt(fu[:, None] ** 2 + fv[None, :] ** 2)
+    noise = rng.standard_normal((size, size))
+    f = np.minimum(np.arange(size), size - np.arange(size)) / size
+    freq = np.sqrt(f[:, None] ** 2 + f[None, :] ** 2)
     freq[0, 0] = 1.0
     envelope = freq ** (-spectral_exponent)
     envelope[0, 0] = 0.0  # zero-mean field; the mean re-enters via rescaling
     field = idft2(dft2(noise) * envelope).real
     lo, hi = field.min(), field.max()
     if hi - lo <= 0:
-        return np.full((h, w), 0.5)
+        return np.full((size, size), 0.5)
     return (field - lo) / (hi - lo)
 
 
@@ -201,7 +198,7 @@ class PipelineConfig:
             rng = np.random.default_rng((self.seed, index, int(image_seed), 0xF5))
         else:
             rng = np.random.default_rng((self.seed, index, 0xF5))
-        return tuple(rng.normal(0.0, 0.1, size=(1, 1, k, k)) for k in (4, 3, 3))
+        return tuple(rng.normal(0.0, 0.1, size=(k, k)) for k in (4, 3, 3))
 
     def upsample(self, image: np.ndarray, index: int, image_seed=None) -> np.ndarray:
         """Apply upsampling stage ``index`` of this pipeline to ``image``."""

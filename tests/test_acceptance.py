@@ -16,7 +16,7 @@ from fsf.fft import dft2
 from fsf.figures import formation_grid
 from fsf.forensics import AugmentPolicy, DistortionConfig, apply_augment_plan, draw_augment_plan
 from fsf.model import FractalCNN, ModelConfig
-from fsf.ops import conv2d, median_filter
+from fsf.ops import conv3x3_nhwc, median_filter
 from fsf.simulate import (
     CorpusSpec,
     PipelineConfig,
@@ -197,7 +197,10 @@ def test_criterion_5_median_and_conv_oracles(capsys):
     x = rng.standard_normal((2, 6, 6))
     kern = rng.standard_normal((3, 2, 3, 3))
     bias = rng.standard_normal(3)
-    conv_err = rel_err(conv2d(x, kern, bias), naive_conv2d(x, kern, bias))
+    # the multi-channel conv with bias is the detector's, on channel-last copies
+    out = conv3x3_nhwc(np.ascontiguousarray(x.transpose(1, 2, 0)[None]),
+                       np.ascontiguousarray(kern.transpose(2, 3, 1, 0)), bias)
+    conv_err = rel_err(out[0].transpose(2, 0, 1), naive_conv2d(x, kern, bias))
     report(
         capsys, 5, median_exact and conv_err <= 1e-12,
         f"median bit-exact for k in {{1,3,5,7}}: {median_exact}; "

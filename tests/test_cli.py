@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +132,11 @@ PROBES = {
     "sensor_noise_nan": lambda c: c["corpus"].update(sensor_noise=float("nan")),
     "spectral_exponent_reversed": lambda c: c["corpus"].update(spectral_exponent=[1.3, 0.75]),
     "spectral_exponent_infinite": lambda c: c["corpus"].update(spectral_exponent=float("inf")),
+    # an empty or repeated experiment list gives a table without a column or with one lost
+    "ablate_n_empty": lambda c: c.update(ablate_n=[]),
+    "ablate_n_repeated": lambda c: c.update(ablate_n=[1, 1]),
+    "distortions_empty": lambda c: c.update(distortions=[]),
+    "distortions_repeated": lambda c: c.update(distortions=["none", "blur1", "blur1.0"]),
 }
 
 
@@ -142,6 +150,21 @@ def test_bad_config_rejected(tmp_path, capsys, probe):
     assert main(["simulate", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_import_needs_only_the_standard_library_and_numpy():
+    # modules present at startup (site hooks such as _distutils_hack) are left out
+    script = ("import sys; before = set(sys.modules); import fsf, fsf.cli; "
+              "fsf.cli.build_parser(); print(*sorted(set(sys.modules) - before))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{inherited}" if inherited else src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    added = done.stdout.split()
+    assert "fsf.cli" in added
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fsf"}
+    assert [m for m in added if m.split(".")[0] not in allowed] == []
 
 
 @pytest.mark.parametrize(

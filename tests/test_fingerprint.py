@@ -21,9 +21,10 @@ def test_smoke_run_prints_one_repeatable_hash_per_output(capsys):
     names = [name for name, _ in pairs]
     assert len(names) == len(set(names))
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in pairs)
-    for section in ("logits", "features", "grads"):
+    for section in ("logits", "features", "predict", "grads"):
         assert sum(n.endswith(section) for n in names) == 2 * len(tool.SMOKE_MODELS)
     for name in ("train/history", "train/checkpoint", "corpus/tree",
-                 "corpus/features_export", "corpus/average_spectrum_report"):
+                 "corpus/features_export", "corpus/average_spectrum_report",
+                 "figures/formation_grid"):
         assert name in names
     assert list(tool.fingerprint(smoke=True)) == [tuple(p) for p in pairs]

@@ -137,7 +137,7 @@ class TestForward:
 
 
 class TestOneImageInference:
-    """Without a cache the trunk runs one image at a time (``FractalCNN.forward``)."""
+    """``predict`` and ``features`` run the trunk one image at a time."""
 
     @pytest.mark.parametrize("size, batch", [(64, 32), (224, 2)])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -289,7 +289,7 @@ class TestCacheMemory:
 def _spectrum_stage(model, x, upstream):
     """Output and input gradient of the spectrum stage alone."""
     cache = {}
-    out = model._spectrum_normalize(x, cache, True)
+    out = model._spectrum_normalize(x, cache)
     return out, model._spectrum_normalize_backward(upstream, cache)
 
 

@@ -42,38 +42,40 @@ def hwio(kernels):
 
 
 class TestConv2d:
+    # conv2d takes one H x W plane and one 3 x 3 kernel; the oracle gets
+    # [None] copies (one channel in, one out).
+
     def test_identity_kernel_passes_input_through(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 6, 6))
-        kernels = np.zeros((2, 2, 3, 3))
-        kernels[0, 0, 1, 1] = 1.0
-        kernels[1, 1, 1, 1] = 1.0
-        out = conv2d(x, kernels)
-        assert np.array_equal(out, x)
+        x = np.random.default_rng(0).standard_normal((6, 6))
+        kernel = np.zeros((3, 3))
+        kernel[1, 1] = 1.0
+        assert np.array_equal(conv2d(x, kernel), x)
 
     def test_zero_kernels_with_bias_give_constant(self):
-        x = np.ones((1, 4, 5))
-        out = conv2d(x, np.zeros((3, 1, 3, 3)), bias=np.array([1.5, -2.0, 0.0]))
-        assert np.all(out[0] == 1.5)
-        assert np.all(out[1] == -2.0)
-        assert np.all(out[2] == 0.0)
+        # the bias lives in conv3x3_nhwc, which the detector's plain convs call
+        x = np.ones((1, 4, 5, 1))
+        out = conv3x3_nhwc(x, np.zeros((3, 3, 1, 3)), np.array([1.5, -2.0, 0.0]))
+        assert np.all(out[..., 0] == 1.5)
+        assert np.all(out[..., 1] == -2.0)
+        assert np.all(out[..., 2] == 0.0)
 
     def test_matches_naive_six_loop_oracle(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((2, 5, 5))
-        k = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal(3)
-        assert rel_err(conv2d(x, k, b), naive_conv2d(x, k, b)) < 1e-12
+        x = rng.standard_normal((5, 5))
+        k = rng.standard_normal((3, 3))
+        assert rel_err(conv2d(x, k), naive_conv2d(x[None], k[None, None])[0]) < 1e-12
 
     def test_integer_inputs_match_oracle_exactly(self):
         rng = np.random.default_rng(2)
-        x = rng.integers(-8, 9, size=(2, 6, 7)).astype(np.float64)
-        k = rng.integers(-4, 5, size=(2, 2, 3, 3)).astype(np.float64)
-        assert np.array_equal(conv2d(x, k), naive_conv2d(x, k))
+        x = rng.integers(-8, 9, size=(6, 7)).astype(np.float64)
+        k = rng.integers(-4, 5, size=(3, 3)).astype(np.float64)
+        assert np.array_equal(conv2d(x, k), naive_conv2d(x[None], k[None, None])[0])
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)))
+            conv2d(np.zeros((2, 4, 4)), np.zeros((3, 3)))  # a C x H x W image
+        with pytest.raises(DimensionError):
+            conv2d(np.zeros((4, 4)), np.zeros((1, 1, 3, 3)))
 
     # The backward checks run conv3x3_nhwc(_backward), the detector's op, on
     # channel-last copies of each image (nhwc) and kernel (hwio).
@@ -218,41 +220,43 @@ class TestConv3x3Nhwc:
 
 class TestTransposedConv2d:
     def test_delta_input_stamps_kernel_on_stride2_grid(self):
-        x = np.zeros((1, 3, 3))
-        x[0, 1, 1] = 1.0
-        k = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
+        x = np.zeros((3, 3))
+        x[1, 1] = 1.0
+        k = np.arange(16, dtype=np.float64).reshape(4, 4)
         out = transposed_conv2d(x, k)
         # input pixel (1,1) lands at output offset 2*1 - pad for tap (ky,kx)
-        expected = np.zeros((1, 6, 6))
+        expected = np.zeros((6, 6))
         for ky in range(4):
             for kx in range(4):
                 yy, xx = 2 + ky - 1, 2 + kx - 1
                 if 0 <= yy < 6 and 0 <= xx < 6:
-                    expected[0, yy, xx] += k[0, 0, ky, kx]
+                    expected[yy, xx] += k[ky, kx]
         assert np.array_equal(out, expected)
 
     def test_uniform_kernel_constant_input_gives_constant(self):
-        x = np.full((1, 5, 5), 2.0)
-        k = np.full((1, 1, 4, 4), 0.25)
+        x = np.full((5, 5), 2.0)
+        k = np.full((4, 4), 0.25)
         out = transposed_conv2d(x, k)
-        inner = out[0, 2:-2, 2:-2]
+        inner = out[2:-2, 2:-2]
         assert np.allclose(inner, 2.0)
 
     def test_matches_zero_insert_then_flipped_conv_exactly(self):
         rng = np.random.default_rng(6)
-        x = rng.integers(-8, 9, size=(2, 4, 5)).astype(np.float64)
-        k = rng.integers(-4, 5, size=(2, 3, 4, 4)).astype(np.float64)
-        assert np.array_equal(transposed_conv2d(x, k), zero_insert_then_conv(x, k))
+        x = rng.integers(-8, 9, size=(4, 5)).astype(np.float64)
+        k = rng.integers(-4, 5, size=(4, 4)).astype(np.float64)
+        assert np.array_equal(transposed_conv2d(x, k), zero_insert_then_conv(x[None], k[None, None])[0])
 
     def test_float_inputs_match_oracle_to_1e12(self):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((1, 4, 4))
-        k = rng.standard_normal((1, 2, 4, 4))
-        assert rel_err(transposed_conv2d(x, k), zero_insert_then_conv(x, k)) < 1e-12
+        x = rng.standard_normal((4, 4))
+        k = rng.standard_normal((4, 4))
+        assert rel_err(transposed_conv2d(x, k), zero_insert_then_conv(x[None], k[None, None])[0]) < 1e-12
 
     def test_bad_shapes_raise(self):
         with pytest.raises(DimensionError):
-            transposed_conv2d(np.zeros((2, 2, 2)), np.zeros((1, 1, 4, 4)))
+            transposed_conv2d(np.zeros((2, 2, 2)), np.zeros((4, 4)))
+        with pytest.raises(DimensionError):
+            transposed_conv2d(np.zeros((2, 2)), np.zeros((1, 1, 4, 4)))
 
 
 class TestMedianFilter:

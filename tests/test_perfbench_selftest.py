@@ -47,7 +47,7 @@ def test_tracer_spans_the_conv_kernels_and_uninstall_restores():
         from fsf.ops import conv2d
 
         rng = np.random.default_rng(0)
-        conv2d(rng.standard_normal((2, 16, 16)), rng.standard_normal((3, 2, 3, 3)))
+        conv2d(rng.standard_normal((16, 16)), rng.standard_normal((3, 3)))
         model = FractalCNN(ModelConfig(channels=4, n_units=1, input_size=16, head_hidden=8))
         logits, cache = model.forward(rng.standard_normal((2, 16, 16, 1)))
         model.backward(cache, bce_with_logits(logits, np.array([0.0, 1.0]))[1])

@@ -77,13 +77,13 @@ class TestUpsampleTconv:
         rng = np.random.default_rng(4)
         img = rng.integers(-4, 5, size=(5, 5)).astype(np.float64)
         tconv = np.rint(PipelineConfig("tconv_conv", 1, 7, 5).stage(0)[0] * 40)
-        out = transposed_conv2d(img[None], tconv)[0]
-        expected = zero_insert_then_conv(img[None], tconv)[0]
+        out = transposed_conv2d(img, tconv)
+        expected = zero_insert_then_conv(img[None], tconv[None, None])[0]
         assert np.array_equal(out, expected)
 
     def test_output_shape_doubles(self):
         kernels = PipelineConfig("tconv_conv", 1, 8, 5).stage(0)
-        assert [k.shape for k in kernels] == [(1, 1, 4, 4), (1, 1, 3, 3), (1, 1, 3, 3)]
+        assert [k.shape for k in kernels] == [(4, 4), (3, 3), (3, 3)]
         out = upsample_tconv(np.zeros((5, 9)), kernels)
         assert out.shape == (10, 18)
 

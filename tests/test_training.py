@@ -86,11 +86,10 @@ class TestTrain:
         forward = FractalCNN.forward
         steps = []  # weak references to each training step's cached features
 
-        def tracked(self, x, keep_cache=True):
+        def tracked(self, x):
             assert all(ref() is None for ref in steps), "an earlier step's cache is alive"
-            logits, cache = forward(self, x, keep_cache)
-            if keep_cache:
-                steps.append(weakref.ref(cache["features"]))
+            logits, cache = forward(self, x)
+            steps.append(weakref.ref(cache["features"]))
             return logits, cache
 
         monkeypatch.setattr(FractalCNN, "forward", tracked)

@@ -1,13 +1,14 @@
 """Bit-exactness fingerprint: one SHA-256 line for each checked fsf output.
 
 Each line is ``<name> <sha256>``.  The outputs are the detector's logits,
-features and gradients for five model configurations in float32 and
-float64, the noise residuals of the 224 px inputs (and of one with NaNs),
-a 2-epoch 64 px training history with its checkpoint bytes, a small corpus
-with its ``features_export`` and ``average_spectrum_report`` files, the
-distortion stack's pixels on a few corpus images, and ``evaluate`` of that
-checkpoint on the corpus under four distortions.  Two commits compute the
-same floats exactly when their lines match:
+features, ``predict`` logits and gradients for five model configurations in
+float32 and float64, the noise residuals of the 224 px inputs (and of one
+with NaNs), a 2-epoch 64 px training history with its checkpoint bytes, a
+small corpus with its ``features_export`` and ``average_spectrum_report``
+files, the distortion stack's pixels on a few corpus images, ``evaluate`` of
+that checkpoint on the corpus under four distortions, and the tree that
+``formation_grid`` writes (every upsampling kind, tconv included).  Two
+commits compute the same floats exactly when their lines match:
 
     PYTHONPATH=src python3 tools/fingerprint.py > before.txt   # commit A
     git checkout B
@@ -30,7 +31,7 @@ import tempfile
 import numpy as np
 
 from fsf.checkpoint import load_checkpoint, save_checkpoint
-from fsf.figures import average_spectrum_report, features_export
+from fsf.figures import average_spectrum_report, features_export, formation_grid
 from fsf.fileio import read_image, read_manifest
 from fsf.forensics import AugmentPolicy, DistortionConfig, center_crop_pad, noise_residual
 from fsf.model import FractalCNN, ModelConfig, bce_with_logits
@@ -77,7 +78,8 @@ def _tree_digest(root) -> str:
 
 
 def model_lines(models):
-    """Logits, features and every gradient of a seeded forward/backward pass."""
+    """Logits, features, ``predict`` logits and every gradient of a seeded
+    forward/backward pass."""
     for name, batch, fields in models:
         for dtype in ("float32", "float64"):
             cfg = ModelConfig(dtype=dtype, **fields)
@@ -92,6 +94,7 @@ def model_lines(models):
             tag = f"model/{name}/{dtype}"
             yield f"{tag}/logits", _digest(logits.tobytes())
             yield f"{tag}/features", _digest(model.features(x).tobytes())
+            yield f"{tag}/predict", _digest(model.predict(x).tobytes())
             yield f"{tag}/grads", _digest(*(k.encode() + grads[k].tobytes() for k in sorted(grads)))
 
 
@@ -172,6 +175,13 @@ def eval_lines(work):
         )
 
 
+def figure_lines(work, base_size):
+    """The formation grid's spectra and captions, three stages from ``base_size``."""
+    where = os.path.join(work, "formation_grid")
+    formation_grid(where, 7, base_size, 3)
+    yield "figures/formation_grid", _tree_digest(where)
+
+
 def fingerprint(smoke: bool = False):
     """Yield (name, sha256) for every checked output."""
     with tempfile.TemporaryDirectory() as work:
@@ -182,6 +192,7 @@ def fingerprint(smoke: bool = False):
             yield from corpus_lines(work, 2)
             yield from distortion_lines(work, 2)
             yield from eval_lines(work)
+            yield from figure_lines(work, 8)
         else:
             yield from model_lines(MODELS)
             yield from residual_lines("224px-b2", 2, 224)
@@ -189,6 +200,7 @@ def fingerprint(smoke: bool = False):
             yield from corpus_lines(work, 10)
             yield from distortion_lines(work, 6)
             yield from eval_lines(work)
+            yield from figure_lines(work, 28)
 
 
 def main(argv=None) -> int:
