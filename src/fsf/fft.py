@@ -6,23 +6,23 @@ The transform is the plain unshifted DFT,
 
 over the trailing two axes of an array, so batches of planes transform in
 one call.  ``np.fft`` computes it for every input except one: float32 or
-complex64 input whose side lengths have no prime factor above
-``_MAX_DIRECT_PRIME``.  That is the detector's batched spectrum stage, where
-a four-step GEMM transform with multithreaded BLAS beats single-threaded
-``np.fft.fft2``, and the stage's float32 reductions depend on its output
-layout.
+complex64 input whose side lengths are both composite with no prime factor
+above ``_MAX_DIRECT_PRIME``.  That is the detector's batched spectrum
+stage, where a four-step GEMM transform with multithreaded BLAS beats
+single-threaded ``np.fft.fft2``, and the stage's float32 reductions depend
+on its output layout.
 
 The four-step transform splits each length N = n1 * n2 into an n1-point
-dense DFT GEMM, a twiddle multiplication and an n2-point dense DFT GEMM
-(a prime length is one dense GEMM).  Both axes run through two complex work
-buffers the size of the input, after Bailey, "FFTs in external or
-hierarchical memory" (J. Supercomputing, 1990).  Each stage gathers its
-operand from a strided view of the other buffer with one copy, multiplies
-it into the other buffer with one GEMM and applies its twiddle in place, so
-the gathers are the only transposes.  The first gather reads the caller's
-array in any layout and casts it; the row stage's last reorder and the
-column stage's first gather are one copy.  The result is a view of a work
-buffer whose row axis (the last but one) is the contiguous one.
+dense DFT GEMM, a twiddle multiplication and an n2-point dense DFT GEMM.
+Both axes run through two complex work buffers the size of the input, after
+Bailey, "FFTs in external or hierarchical memory" (J. Supercomputing,
+1990).  Each stage gathers its operand from a strided view of the other
+buffer with one copy, multiplies it into the other buffer with one GEMM and
+applies its twiddle in place, so the gathers are the only transposes.  The
+first gather reads the caller's array in any layout and casts it; the row
+stage's last reorder and the column stage's first gather are one copy.  The
+result is a view of a work buffer whose row axis (the last but one) is the
+contiguous one.
 """
 
 from __future__ import annotations
@@ -33,20 +33,25 @@ import numpy as np
 
 from .errors import DimensionError
 
-# Float32 lengths whose prime factors are all up to this bound run the dense
-# four-step GEMM path; any larger prime factor sends the input to np.fft.
-# Covers every factor of the common crop sizes (224 = 2^5 * 7).
+# Float32 composite lengths whose prime factors are all up to this bound run
+# the dense four-step GEMM path; any larger prime factor, a prime length or a
+# length of 1 sends the input to np.fft.  Covers every factor of the common
+# crop sizes (224 = 2^5 * 7).
 _MAX_DIRECT_PRIME = 61
+MAG_EPS = 1e-12  # magnitude floor of magnitude_backward
 
 _plan_cache: dict = {}
 
 
-def _smooth(n: int) -> bool:
-    """True when the positive length n has no prime factor above the bound."""
+def _four_step(n: int) -> bool:
+    """True when the positive length n is composite with no prime factor
+    above the bound."""
+    factors = 0
     for p in range(2, _MAX_DIRECT_PRIME + 1):
         while n % p == 0:
             n //= p
-    return n == 1
+            factors += 1
+    return n == 1 and factors > 1
 
 
 def _dense(n: int) -> np.ndarray:
@@ -56,11 +61,8 @@ def _dense(n: int) -> np.ndarray:
 
 
 def _plan(n: int) -> tuple:
-    """(n1, n2, n1-point matrix, n2-point matrix, twiddle) for length n.
-
-    n1 is the largest divisor of n not above sqrt(n), so a prime n has
-    n1 == 1.
-    """
+    """(n1, n2, n1-point matrix, n2-point matrix, twiddle) for a composite
+    length n; n1 is the largest divisor of n not above sqrt(n)."""
     plan = _plan_cache.get(n)
     if plan is None:
         n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
@@ -72,7 +74,7 @@ def _plan(n: int) -> tuple:
     return plan
 
 
-def _axis(src: np.ndarray, a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
+def _axis(src: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Four-step transform of the last axis of ``src`` through the flat work
     buffers ``a`` and ``b`` (each of ``src.size``); returns the result as a
     view of ``b``.
@@ -82,24 +84,17 @@ def _axis(src: np.ndarray, a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarra
     a twiddle multiplication, and an n2-point transform over j2.  ``src``
     may have any strides and dtype: the first gather reads and casts it.
     The result's last two axes, (k2, k1), flatten to the transformed axis.
-    A prime length multiplies stacked (rows, n) matrices.
     """
-    n = src.shape[-1]
     lead = src.shape[:-1]
-    n1, n2, m1, m2, twiddle = _plan(n)
+    n1, n2, m1, m2, twiddle = _plan(src.shape[-1])
     x = a.reshape(lead + (n2, n1))  # [j2, j1]
     np.copyto(x, src.reshape(lead + (n1, n2)).swapaxes(-2, -1), casting="unsafe")
     y = b.reshape(lead + (n2, n1))
-    if n == 1:
-        np.copyto(y, x)
-    elif n1 == 1:  # prime
-        np.matmul(x.reshape(-1, rows, n), m2, out=y.reshape(-1, rows, n))
-    else:
-        np.matmul(x.reshape(-1, n1), m1, out=y.reshape(-1, n1))  # -> [j2, k1]
-        y *= twiddle
-        x = a.reshape(lead + (n1, n2))
-        np.copyto(x, y.swapaxes(-2, -1))  # [k1, j2]
-        np.matmul(x.reshape(-1, n2), m2, out=b.reshape(-1, n2))  # -> [k1, k2]
+    np.matmul(x.reshape(-1, n1), m1, out=y.reshape(-1, n1))  # -> [j2, k1]
+    y *= twiddle
+    x = a.reshape(lead + (n1, n2))
+    np.copyto(x, y.swapaxes(-2, -1))  # [k1, j2]
+    np.matmul(x.reshape(-1, n2), m2, out=b.reshape(-1, n2))  # -> [k1, k2]
     return b.reshape(lead + (n1, n2)).swapaxes(-2, -1)
 
 
@@ -121,11 +116,11 @@ def dft2(plane: np.ndarray) -> np.ndarray:
     """
     plane = _checked(plane, "dft2")
     *lead, h, w = plane.shape
-    if plane.dtype not in (np.float32, np.complex64) or not (_smooth(h) and _smooth(w)):
+    if plane.dtype not in (np.float32, np.complex64) or not (_four_step(h) and _four_step(w)):
         return np.fft.fft2(plane)
     a, b = np.empty(plane.size, np.complex64), np.empty(plane.size, np.complex64)
-    rows = _axis(plane, a, b, h)  # (..., H, [W])
-    cols = _axis(np.moveaxis(rows, len(lead), -1), a, b, w)  # (..., [W], [H])
+    rows = _axis(plane, a, b)  # (..., H, [W])
+    cols = _axis(np.moveaxis(rows, len(lead), -1), a, b)  # (..., [W], [H])
     out = a.reshape(tuple(lead) + (w, h))
     np.copyto(out.reshape(cols.shape), cols)
     return out.swapaxes(-2, -1)
@@ -136,23 +131,19 @@ def idft2(spectrum: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(_checked(spectrum, "idft2"))
 
 
-def magnitude_backward(
-    spectrum: np.ndarray,
-    magnitude: np.ndarray,
-    upstream: np.ndarray,
-    eps_mag: float = 1e-12,
-) -> np.ndarray:
+def magnitude_backward(spectrum: np.ndarray, magnitude: np.ndarray,
+                       upstream: np.ndarray) -> np.ndarray:
     """Plane gradient of ``sum(upstream * magnitude)`` from a forward pass's
     ``spectrum = dft2(plane)`` and ``magnitude = |spectrum|``.
 
     Uses d|z|/dz = conj(z)/|z| plus linearity of the DFT, so the whole
     gradient is one forward transform of the reweighted spectrum.  Bins with
-    magnitude below ``eps_mag`` contribute zero gradient.  The reweighted
+    magnitude below ``MAG_EPS`` contribute zero gradient.  The reweighted
     spectrum is built in one complex buffer; the arguments are not written.
     Returns the real part as a (possibly strided) view.
     """
     ratio = np.conjugate(spectrum, dtype=np.result_type(spectrum, magnitude, upstream))
-    np.divide(ratio, np.maximum(magnitude, eps_mag), out=ratio)
-    ratio[~(magnitude > eps_mag)] = 0
+    np.divide(ratio, np.maximum(magnitude, MAG_EPS), out=ratio)
+    ratio[~(magnitude > MAG_EPS)] = 0
     ratio *= upstream
     return dft2(ratio).real

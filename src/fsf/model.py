@@ -50,6 +50,7 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .fft import dft2, magnitude_backward
 from .ops import (
+    NORM_EPS,
     conv3x3_nhwc,
     conv3x3_nhwc_backward,
     elementwise_mul,
@@ -61,10 +62,11 @@ from .ops import (
 )
 from .spectral import quadrant_average, quadrant_split
 
+# Branch names follow ``quadrant_split`` order.  The numeric floors are the
+# kernels' own: ``ops.NORM_EPS`` (which the spectrum standardization shares)
+# and ``fft.MAG_EPS``.
 BRANCH_NAMES = ("q00", "q01", "q10", "q11")
-LEAKY_SLOPE = 0.2  # every leaky ReLU, and the gain of the Kaiming init
-NORM_EPS = 1e-5  # variance floor of instance norm and of the spectrum standardization
-MAG_EPS = 1e-12  # magnitude floor of the spectrum's backward pass
+LEAKY_SLOPE = 0.2  # every leaky ReLU of the detector, and the gain of the Kaiming init
 SPECTRUM_GROUP = 8  # channels per pass of the spectrum stage
 
 
@@ -133,6 +135,12 @@ class ModelConfig:
         return shapes
 
 
+def _quadrants(h: np.ndarray) -> list:
+    """Views of the four quadrants of a channel-last map (B, H, W, C), in
+    ``quadrant_split`` order."""
+    return [np.moveaxis(b, 1, 3) for b in quadrant_split(np.moveaxis(h, 3, 1))]
+
+
 class FractalCNN:
     """Parameter container plus hand-written forward/backward passes."""
 
@@ -186,7 +194,7 @@ class FractalCNN:
         """
         p = self.params
         z = conv3x3_nhwc(x, p[f"{name}_w"], None)
-        n, norm_cache = instance_norm_nhwc(z, p[f"{name}_g"], p[f"{name}_beta"], NORM_EPS)
+        n, norm_cache = instance_norm_nhwc(z, p[f"{name}_g"], p[f"{name}_beta"])
         del z
         if cache is not None:
             cache[name] = (x, norm_cache)
@@ -279,7 +287,7 @@ class FractalCNN:
             del t
             mag = np.abs(z)
             d /= 1.0 + mag
-            dx[..., group] = magnitude_backward(z, mag, d, MAG_EPS).transpose(0, 2, 3, 1)
+            dx[..., group] = magnitude_backward(z, mag, d).transpose(0, 2, 3, 1)
             del z, mag, d
         return dx
 
@@ -293,8 +301,7 @@ class FractalCNN:
         return self._conv_norm_act(h, "fq2", cache)
 
     def _fractal_unit(self, h, n, cache):
-        # quadrant views of the channel-last map
-        blocks = [np.moveaxis(b, 1, 3) for b in quadrant_split(np.moveaxis(h, 3, 1))]
+        blocks = _quadrants(h)
         branches = [
             self._plain_conv(block, f"u{n}_{q}", cache)
             for block, q in zip(blocks, BRANCH_NAMES)
@@ -320,12 +327,10 @@ class FractalCNN:
         del branches, dfused
         b, h, w, c = dh.shape
         dx = np.empty((b, 2 * h, 2 * w, c), dtype=dh.dtype)
-        for i, q in enumerate(BRANCH_NAMES):
-            ys, xs = divmod(i, 2)
+        for i, (q, quadrant) in enumerate(zip(BRANCH_NAMES, _quadrants(dx))):
             dq = self._plain_conv_backward(dbranches[i], f"u{n}_{q}", cache, grads)
             dbranches[i] = None
             # next-level average routes dh/4 back into each pre-conv quadrant
-            quadrant = dx[:, ys * h:(ys + 1) * h, xs * w:(xs + 1) * w]
             np.divide(dh, 4.0, out=quadrant)
             quadrant += dq
             del dq  # before the next branch's conv backward
@@ -371,7 +376,6 @@ class FractalCNN:
         feats = self._trunk(self._input(x), cache)
         logits, pre, act = self._head(feats)
         cache["head"] = (feats, pre, act)
-        cache["features"] = feats
         return logits, cache
 
     def features(self, x: np.ndarray) -> np.ndarray:
@@ -388,8 +392,8 @@ class FractalCNN:
         """Parameter gradients for the cached forward pass.
 
         Consumes the cache: each layer pops its entry, so its activations
-        are freed once its gradients are done, and only ``"features"`` is
-        left.  A cache can be used for backward only once.
+        are freed once its gradients are done, and the cache is left empty.
+        A cache can be used for backward only once.
         """
         cfg = self.config
         grads: dict = {}

@@ -225,22 +225,20 @@ def median_filter(image: np.ndarray, k: int) -> np.ndarray:
 # Activations
 # ---------------------------------------------------------------------------
 
-def leaky_relu(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
+def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     if not 0.0 < slope < 1.0:
         raise ParameterError(f"slope must lie in (0, 1), got {slope}")
-    x = np.asarray(x)
-    y = x * x.dtype.type(slope)  # a numpy scalar for 0-d x
+    y = x * x.dtype.type(slope)
     # equals np.where(x >= 0, x, slope * x)
-    return np.maximum(x, y, out=y) if y.ndim else np.maximum(x, y)
+    return np.maximum(x, y, out=y)
 
 
-def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.2) -> np.ndarray:
+def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float) -> np.ndarray:
     if not 0.0 < slope < 1.0:
         raise ParameterError(f"slope must lie in (0, 1), got {slope}")
-    upstream = np.asarray(upstream)
     # factor 1 where x >= 0, else slope (also for NaN x); bitwise
     # np.where(x >= 0, upstream, upstream * slope) without its two full-size temporaries
-    factor = np.asarray(np.asarray(x) >= 0).astype(upstream.dtype)
+    factor = (x >= 0).astype(upstream.dtype)
     np.maximum(factor, upstream.dtype.type(slope), out=factor)
     factor *= upstream
     return factor
@@ -250,7 +248,10 @@ def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float = 0.2)
 # Instance normalization
 # ---------------------------------------------------------------------------
 
-def instance_norm_nhwc(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+NORM_EPS = 1e-5  # variance floor of instance norm and of the detector's spectrum standardization
+
+
+def instance_norm_nhwc(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Per-sample, per-channel standardization over the spatial axes of (B,H,W,C).
 
     Returns (y, cache) with the cache consumed by the backward pass.
@@ -261,7 +262,7 @@ def instance_norm_nhwc(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: f
     # np.var's own reduction on the centred copy, so var is bitwise x.var(axis=(1, 2))
     sq = np.multiply(xhat, xhat)
     var = np.add.reduce(sq, axis=(1, 2), keepdims=True) / (x.shape[1] * x.shape[2])
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv
     if sq.dtype == np.result_type(sq, gain, bias):  # the squares' buffer becomes y
         y = np.multiply(xhat, gain, out=sq)

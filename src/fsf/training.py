@@ -20,13 +20,13 @@ from .forensics import AugmentPolicy, DistortionConfig, apply_augment_plan, draw
 from .model import FractalCNN, ModelConfig, bce_with_logits
 from .parallel import parallel_map
 
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 50
     val_fraction: float = 0.1
@@ -39,11 +39,6 @@ class TrainConfig:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.lr < float("inf"):
             raise ParameterError(f"lr must be positive and finite, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not 0.0 < self.adam_eps < float("inf"):
-            raise ParameterError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ParameterError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.patience < 1:
@@ -78,15 +73,6 @@ class EpochStats:
 # Dataset plumbing
 # ---------------------------------------------------------------------------
 
-def _load_raw(manifest: Manifest):
-    """Read every manifest image; label 1 = generated."""
-    if len(manifest) == 0:
-        raise DataError("manifest is empty")
-    images = parallel_map(lambda e: read_image(manifest.resolve(e)), manifest.entries)
-    labels = np.array([1.0 if e.label == "generated" else 0.0 for e in manifest.entries])
-    return images, labels
-
-
 def detector_input(image, config: ModelConfig, distortions=()) -> np.ndarray:
     """What the detector of ``config`` sees of a graymap: the distortions in
     order, then crop/pad to its input size, then the noise residual with its
@@ -100,14 +86,19 @@ def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
 ):
-    """Fit a detector on a manifest. Returns (ModelCheckpoint, history)."""
-    images, labels = _load_raw(manifest)
-    if len(set(labels.tolist())) < 2:
-        raise DataError("training manifest needs both real and generated images")
+    """Fit a detector on a manifest. Returns (ModelCheckpoint, history).
+
+    The config and the labels are checked before any image is read."""
     if train_cfg.augment is not None and train_cfg.augment.crop != model_cfg.input_size:
         raise ParameterError(
             f"augment crop {train_cfg.augment.crop} != model input {model_cfg.input_size}"
         )
+    if len(manifest) == 0:
+        raise DataError("manifest is empty")
+    labels = np.array([1.0 if e.label == "generated" else 0.0 for e in manifest.entries])
+    if len(set(labels.tolist())) < 2:
+        raise DataError("training manifest needs both real and generated images")
+    images = parallel_map(lambda e: read_image(manifest.resolve(e)), manifest.entries)
 
     split_rng = np.random.default_rng((train_cfg.seed, 0x5711))
     order = split_rng.permutation(len(images))
@@ -153,19 +144,22 @@ def train(
 
             steps += 1
             lr_t = train_cfg.lr * (
-                np.sqrt(1.0 - train_cfg.beta2 ** steps) / (1.0 - train_cfg.beta1 ** steps)
+                np.sqrt(1.0 - ADAM_BETA2 ** steps) / (1.0 - ADAM_BETA1 ** steps)
             )
             for name, g in grads.items():
-                adam_m[name] = train_cfg.beta1 * adam_m[name] + (1 - train_cfg.beta1) * g
-                adam_v[name] = train_cfg.beta2 * adam_v[name] + (1 - train_cfg.beta2) * g * g
+                adam_m[name] = ADAM_BETA1 * adam_m[name] + (1 - ADAM_BETA1) * g
+                adam_v[name] = ADAM_BETA2 * adam_v[name] + (1 - ADAM_BETA2) * g * g
                 model.params[name] -= (
-                    lr_t * adam_m[name] / (np.sqrt(adam_v[name]) + train_cfg.adam_eps)
+                    lr_t * adam_m[name] / (np.sqrt(adam_v[name]) + ADAM_EPS)
                 ).astype(model.params[name].dtype)
 
             epoch_loss += loss * len(batch_idx)
             epoch_hits += int(np.sum((logits > 0) == (y > 0.5)))
 
-        val_logits = _predict_batched(model, val_x, train_cfg.batch_size)
+        val_logits = np.concatenate([
+            model.predict(val_x[start:start + train_cfg.batch_size])
+            for start in range(0, n_val, train_cfg.batch_size)
+        ])
         val_loss, _ = bce_with_logits(val_logits, val_y)
         if not np.isfinite(val_loss):
             raise NumericError(f"validation loss diverged at epoch {epoch}")
@@ -200,13 +194,6 @@ def train(
         },
     )
     return checkpoint, history
-
-
-def _predict_batched(model: FractalCNN, x: np.ndarray, batch_size: int) -> np.ndarray:
-    out = []
-    for start in range(0, len(x), batch_size):
-        out.append(model.predict(x[start:start + batch_size]))
-    return np.concatenate(out) if out else np.zeros(0)
 
 
 # ---------------------------------------------------------------------------

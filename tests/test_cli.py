@@ -122,9 +122,6 @@ PROBES = {
     "residual_kernel_above_input_size": lambda c: c["model"].update(residual_kernel=33),
     "residual_kernel_huge": lambda c: c["model"].update(residual_kernel=1000001),
     "input_size_zero": lambda c: c["model"].update(input_size=0),
-    "beta1_one": lambda c: c["train"].update(beta1=1.0),
-    "beta2_above_one": lambda c: c["train"].update(beta2=1.5),
-    "adam_eps_negative": lambda c: c["train"].update(adam_eps=-1),
     "size_zero": lambda c: c["corpus"].update(size=0, pipelines=[], holdout=[], n_train_fake=0),
     "size_negative": lambda c: c["corpus"].update(size=-4, pipelines=[], holdout=[], n_train_fake=0),
     "n_train_real_negative": lambda c: c["corpus"].update(n_train_real=-3),
@@ -169,7 +166,8 @@ def test_import_needs_only_the_standard_library_and_numpy():
 
 @pytest.mark.parametrize(
     "section, key", [("model", "in_channels"), ("model", "leaky_slope"), ("model", "norm_eps"),
-                     ("model", "mag_eps"), ("train", "residual_kernel")],
+                     ("model", "mag_eps"), ("train", "residual_kernel"), ("train", "beta1"),
+                     ("train", "beta2"), ("train", "adam_eps")],
 )
 def test_removed_fields_are_unknown_keys(tmp_path, capsys, section, key):
     path, cfg = experiment_config(tmp_path)

@@ -145,7 +145,7 @@ class TestOneImageInference:
         model = FractalCNN(ModelConfig(channels=32, n_units=2, input_size=size, dtype=dtype), seed=1)
         x = np.random.default_rng(41).standard_normal((batch, size, size, 1))
         logits, cache = model.forward(x)
-        feats = cache["features"]
+        feats = cache["head"][0]
         del cache  # the B=32 float64 cache is about 600 MB
         assert model.predict(x).tobytes() == logits.tobytes()
         assert model.features(x).tobytes() == feats.tobytes()
@@ -224,9 +224,8 @@ class TestCacheMemory:
         cfg = ModelConfig(channels=4, n_units=2, input_size=16, head_hidden=8)
         x = np.random.default_rng(32).standard_normal((2, 16, 16, 1))
         logits, cache = FractalCNN(cfg).forward(x)
-        feats = cache["features"]
         FractalCNN(cfg).backward(cache, np.ones_like(logits))
-        assert list(cache) == ["features"] and cache["features"] is feats
+        assert cache == {}
 
     def test_step_cache_keeps_no_recomputable_map(self):
         # B=32, 64 px: backward recomputes each block's norm output n and the

@@ -84,12 +84,12 @@ class TestTrain:
 
     def test_each_step_cache_is_dropped_before_the_next_forward(self, tiny_corpus, monkeypatch):
         forward = FractalCNN.forward
-        steps = []  # weak references to each training step's cached features
+        steps = []  # weak references to each training step's cached head features
 
         def tracked(self, x):
             assert all(ref() is None for ref in steps), "an earlier step's cache is alive"
             logits, cache = forward(self, x)
-            steps.append(weakref.ref(cache["features"]))
+            steps.append(weakref.ref(cache["head"][0]))
             return logits, cache
 
         monkeypatch.setattr(FractalCNN, "forward", tracked)
@@ -102,6 +102,19 @@ class TestTrain:
         cfg = tiny_train_cfg(augment=AugmentPolicy(crop=64))
         with pytest.raises(ParameterError):
             train(tiny_corpus["train"], tiny_model_cfg(), cfg)
+
+    def test_config_and_labels_are_checked_before_any_image_is_read(self, tmp_path):
+        from fsf.forensics import AugmentPolicy
+
+        # no image file exists, so reading any of them would raise FileNotFoundError
+        both = Manifest([ManifestEntry("r.pgm", "real", "real", 0),
+                         ManifestEntry("g.pgm", "generated", "zero", 1)], root=str(tmp_path))
+        with pytest.raises(ParameterError):
+            train(both, tiny_model_cfg(), tiny_train_cfg(augment=AugmentPolicy(crop=64)))
+        one_class = Manifest([ManifestEntry(f"r{i}.pgm", "real", "real", i) for i in range(4)],
+                             root=str(tmp_path))
+        with pytest.raises(DataError):
+            train(one_class, tiny_model_cfg(), tiny_train_cfg())
 
 
 class TestEvaluate:
