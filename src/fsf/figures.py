@@ -66,7 +66,8 @@ def average_spectrum_report(manifest: Manifest, out_dir, residual: bool = False)
     """Per-group (label, pipeline) average spectra as 16-bit graymaps.
 
     Returns report rows (group, images, quadrant_correlation); also written
-    as report.csv in ``out_dir``.
+    as report.csv in ``out_dir``.  A group whose images differ in size or
+    have an odd side is a data error that names the file.
     """
     if len(manifest) == 0:
         raise DataError("manifest is empty")
@@ -84,6 +85,10 @@ def average_spectrum_report(manifest: Manifest, out_dir, residual: bool = False)
                     f"{manifest.resolve(entry)} is {image.shape}, but the first image of "
                     f"group {name!r} ({manifest.resolve(entries[0])}) is {images[0].shape}"
                 )
+        h, w = images[0].shape
+        if h % 2 or w % 2:
+            raise DataError(f"{manifest.resolve(entries[0])} is {h}x{w}; "
+                            "the quadrant split needs even sides")
         return name, average_spectrum(map(noise_residual, images) if residual else images)
 
     rows = []

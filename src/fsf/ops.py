@@ -4,9 +4,10 @@ The detector's operations work on channel-last batches (B, H, W, C).  In
 that layout each im2col row (the 3x3 window of one output pixel, 9*C
 values) is nine contiguous channel runs; the convolution copies those rows
 chunk by chunk into a reused workspace instead of building the whole
-matrix; the weight gradient copies them one kernel row at a time, straight
-from the unpadded input.  The simulator's ``conv2d`` and
-``transposed_conv2d`` take one H x W plane and one kernel.
+matrix; the weight gradient copies them one kernel row at a time, for half
+the input channels where that stays bitwise, straight from the unpadded
+input.  The simulator's ``conv2d`` and ``transposed_conv2d`` take one
+H x W plane and one kernel.
 
 All backward functions return analytic gradients; there is no autodiff graph.
 """
@@ -23,8 +24,9 @@ from .errors import DimensionError, ParameterError
 # 3x3 convolution (stride 1, zero padding 1)
 # ---------------------------------------------------------------------------
 
-# Fewest im2col elements one GEMM chunk holds: a forward chunk, or a weight
-# gradient's kernel-row block.  OpenBLAS (0.3.31) sends sgemm/dgemm with
+# Fewest im2col elements one GEMM chunk holds (a forward chunk, or a weight
+# gradient's kernel-row block), and fewest M*N*K of a weight gradient's
+# half-channel GEMM.  OpenBLAS (0.3.31) sends sgemm/dgemm with
 # M*N*K <= 1e6 to a small-matrix kernel that sums in another order; above
 # that, each output row's sums do not depend on M.  So chunks of at least
 # this size give bitwise the result of one full GEMM.
@@ -107,13 +109,16 @@ def conv3x3_nhwc_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarr
     ``x`` is the forward input.  The weight gradient ``col.T @ upstream``
     sums over all B*H*W pixels, so splitting the pixels would split its
     sums; splitting its output rows does not.  When one kernel row's im2col
-    block holds at least ``_CHUNK_ELEMENTS`` elements, the three kernel rows
-    are copied in turn into one reused block, each with its own GEMM over
-    every pixel.  Above OpenBLAS's small-matrix cutoff an output row's sums
-    do not depend on how many rows its GEMM has, so this is bitwise the
-    full GEMM while holding a third of its matrix.  A smaller input, whose
-    row GEMMs could fall under the cutoff, keeps one GEMM over the full
-    matrix.  Each kernel row is copied straight from ``x`` with its zero
+    block holds at least ``_CHUNK_ELEMENTS`` elements, each kernel row is
+    copied for one half of the input channels at a time into one reused
+    (B*H*W, 3*ceil(C/2)) block, with one GEMM over every pixel per (kernel
+    row, half) whose rows of ``grad_w`` go through a small temporary.  Above
+    OpenBLAS's small-matrix cutoff an output row's sums do not depend on
+    how many rows its GEMM has, so this is bitwise the full GEMM while
+    holding a sixth of its matrix.  Where a half's GEMM could fall under the
+    cutoff (one channel, or few output channels) the block holds whole
+    kernel rows, a third of the matrix; a smaller input keeps one GEMM over
+    the full matrix.  Each block is copied straight from ``x`` with its zero
     border written in place (``_kernel_row``), so ``x`` is never padded.
     ``need_input_grad=False`` skips the input gradient (first-layer case)
     and returns None in its place.
@@ -126,15 +131,23 @@ def conv3x3_nhwc_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarr
         )
     m = b * h * w
     dflat = upstream.reshape(m, o)
-    rows = 1 if m * 3 * c >= _CHUNK_ELEMENTS else 3  # kernel rows per GEMM
-    block = np.empty((b, h, w, rows, 3, c), dtype=x.dtype)
+    rows, parts = 3, 1  # kernel rows and channel parts per GEMM
+    if m * 3 * c >= _CHUNK_ELEMENTS:
+        rows = 1
+        if m * 3 * (c // 2) * o >= _CHUNK_ELEMENTS:  # the smaller half's GEMM
+            parts = 2
+    cuts = [-(-c * i // parts) for i in range(parts + 1)]  # the larger half first
+    block = np.empty(m * rows * 3 * cuts[1], dtype=x.dtype)
     grad_w = np.empty((3, 3, c, o), dtype=np.result_type(x, upstream))
     for ky in range(0, 3, rows):
-        for r in range(rows):
-            _kernel_row(block[:, :, :, r], x, ky + r - 1)
-        np.matmul(block.reshape(m, rows * 3 * c).T, dflat,
-                  out=grad_w[ky:ky + rows].reshape(rows * 3 * c, o))
-    del block  # before the input-gradient conv allocates its own
+        for c0, c1 in zip(cuts, cuts[1:]):
+            k = rows * 3 * (c1 - c0)
+            col = block[:m * k].reshape(b, h, w, rows, 3, c1 - c0)
+            for r in range(rows):
+                _kernel_row(col[:, :, :, r], x[..., c0:c1], ky + r - 1)
+            part = np.matmul(col.reshape(m, k).T, dflat)
+            grad_w[ky:ky + rows, :, c0:c1] = part.reshape(rows, 3, c1 - c0, o)
+    del block, col  # before the input-gradient conv allocates its own
     grad_b = dflat.sum(axis=0)
     if not need_input_grad:
         return None, grad_w, grad_b
@@ -208,6 +221,8 @@ def median_filter(image: np.ndarray, k: int) -> np.ndarray:
     for y0 in range(0, h, rows):
         y1 = min(h, y0 + rows)
         win = sliding_window_view(xp[y0:y1 + k - 1], (k, k)).reshape(y1 - y0, w, k * k)
+        if not win.flags.writeable:  # w == 1: the reshape is a read-only view, not a copy
+            win = win.copy()
         if has_nan:  # NaN sorts last, so np.median's own NaN check decides
             hit = sliding_window_view(nan[y0:y1 + k - 1], (k, k)).any(axis=(-2, -1))
             nan_median = np.median(win[hit], axis=-1)  # reads the windows unpartitioned

@@ -404,6 +404,23 @@ class TestExitCodes:
         assert f"{image} is 63x63; 2 levels need sides divisible by 8" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_spectrum_of_one_pixel_wide_image_returns_3(self, tmp_path, capsys, residual):
+        # a 6x1 graymap: its residual's median windows, then its odd width
+        from fsf.fileio import write_pgm
+
+        image = tmp_path / "narrow.pgm"
+        write_pgm(image, np.arange(6.0).reshape(6, 1) / 8)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("path,label,pipeline,seed\nnarrow.pgm,real,real,0\n")
+        flags = ["--residual"] if residual else []
+        capsys.readouterr()
+        assert main(["spectrum", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "spectra")] + flags) == 3
+        err = capsys.readouterr().err
+        assert f"{image} is 6x1; the quadrant split needs even sides" in err
+        assert "data error" in err
+
     def test_features_negative_levels_returns_2(self, tmp_path, capsys):
         path, _ = experiment_config(tmp_path)
         assert main(["simulate", "--config", str(path)]) == 0

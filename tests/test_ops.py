@@ -133,17 +133,23 @@ STREAM_SHAPES = [
 
 
 # (input shape, output channels, whether one kernel row's im2col block is
-# big enough for the weight gradient to take row blocks): the train-64 and
-# 224 px spatial convs, then three that keep one GEMM, among them the first
-# layer's one channel and a block under OpenBLAS's small-matrix threshold.
+# big enough for the weight gradient to take row blocks, whether each half of
+# the input channels gets its own GEMM): the train-64 and 224 px spatial
+# convs and a one-pixel-wide input, which take half blocks; an odd channel
+# count, whose halves differ in size; whole kernel rows where a half's GEMM
+# would fall under OpenBLAS's small-matrix threshold; then three that keep
+# one GEMM, among them the first layer's one channel and a block under that
+# threshold.
 BACKWARD_SHAPES = [
-    ((32, 64, 64, 32), 32, True),
-    ((2, 224, 224, 32), 32, True),
-    ((3, 48, 40, 16), 8, False),
-    ((32, 64, 64, 1), 32, False),
-    ((4, 16, 16, 16), 16, False),
-    ((4, 1024, 1, 96), 8, True),
-    ((2, 1, 3, 2), 3, False),
+    ((32, 64, 64, 32), 32, True, True),
+    ((2, 224, 224, 32), 32, True, True),
+    ((4, 1024, 1, 96), 8, True, True),
+    ((16, 64, 64, 7), 8, True, True),
+    ((8, 128, 128, 3), 2, True, False),
+    ((3, 48, 40, 16), 8, False, False),
+    ((32, 64, 64, 1), 32, False, False),
+    ((4, 16, 16, 16), 16, False, False),
+    ((2, 1, 3, 2), 3, False, False),
 ]
 
 
@@ -161,12 +167,14 @@ class TestConv3x3Nhwc:
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape,o,row_blocks", BACKWARD_SHAPES,
-                             ids=["b32_64px", "b2_224px", "b3_48x40", "b32_64px_c1", "b4_16px",
-                                  "b4_1024x1", "b2_1x3"])
-    def test_backward_bitwise_equals_single_gemm_forms(self, shape, o, row_blocks, dtype):
+    @pytest.mark.parametrize("shape,o,row_blocks,halves", BACKWARD_SHAPES,
+                             ids=["b32_64px", "b2_224px", "b4_1024x1", "b16_64px_c7",
+                                  "b8_128px_c3_o2", "b3_48x40", "b32_64px_c1", "b4_16px",
+                                  "b2_1x3"])
+    def test_backward_bitwise_equals_single_gemm_forms(self, shape, o, row_blocks, halves, dtype):
         b, h, w_, c = shape
         assert (b * h * w_ * 3 * c >= ops._CHUNK_ELEMENTS) == row_blocks
+        assert (row_blocks and b * h * w_ * 3 * (c // 2) * o >= ops._CHUNK_ELEMENTS) == halves
         rng = np.random.default_rng(21)
         x = rng.standard_normal(shape).astype(dtype)
         w = rng.standard_normal((3, 3, c, o)).astype(dtype)
@@ -182,7 +190,7 @@ class TestConv3x3Nhwc:
         none, gw2, gb2 = conv3x3_nhwc_backward(x, w, up, need_input_grad=False)
         assert none is None and np.array_equal(gw2, gw) and np.array_equal(gb2, gb)
 
-    def test_weight_gradient_builds_one_kernel_row_at_a_time(self):
+    def test_weight_gradient_builds_half_a_kernel_row_at_a_time(self):
         shape = (32, 64, 64, 32)
         rng = np.random.default_rng(22)
         x = rng.standard_normal(shape, dtype=np.float32)
@@ -195,9 +203,10 @@ class TestConv3x3Nhwc:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one kernel row's block (a third of the matrix), no padded copy of
-        # the input, plus 1 MiB for the gradients themselves
-        assert peak <= full // 3 + (1 << 20), peak
+        # one kernel row's block for half the input channels (a sixth of
+        # the matrix), no padded copy of the input, plus 1 MiB for the
+        # gradients themselves
+        assert peak <= full // 6 + (1 << 20), peak
 
     @pytest.mark.parametrize("b,h,w,c", [(2, 32, 32, 8), (1, 224, 224, 32), (20, 16, 16, 32),
                                          (7, 50, 3, 1), (1, 5, 7, 2), (0, 4, 4, 3)])
@@ -274,6 +283,15 @@ class TestMedianFilter:
         rng = np.random.default_rng(k)
         x = rng.standard_normal((9, 9))
         assert np.array_equal(median_filter(x, k), sort_median_filter(x, k))
+
+    @pytest.mark.parametrize("k", [3, 5, 9])
+    @pytest.mark.parametrize("shape", [(5, 1), (9, 1), (1, 1)])
+    def test_one_pixel_wide_image_matches_both_oracles(self, k, shape):
+        # each band's windows reshape to a read-only view, not a copy
+        x = np.random.default_rng(k + shape[0]).standard_normal(shape)
+        out = median_filter(x, k)
+        assert np.array_equal(out, sort_median_filter(x, k))
+        assert out.tobytes() == median_filter_np(x, k).tobytes()
 
     def test_even_k_raises(self):
         with pytest.raises(ParameterError):
