@@ -10,6 +10,13 @@ Subcommands:
     eval          accuracy grid (pipelines x distortions) on the test manifest
     ablate        one model per fractal-unit count, same data and seed
 
+Every command takes --out.  Only simulate and demo-fractal take --seed: they
+are the commands that draw from the config's top-level seed (demo-fractal
+needs no config).  train and ablate draw from the train section's seed, and
+eval, spectrum and features draw nothing.  simulate --out is the corpus dir;
+on train, eval and ablate --out moves what they write, while the corpus they
+read stays at corpus.dir, or <config out_dir>/corpus without one.
+
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric error.
 """
 
@@ -42,7 +49,7 @@ from .errors import (
 )
 from .figures import average_spectrum_report, features_export, formation_grid
 from .fileio import format_table, read_manifest, write_table
-from .forensics import AugmentPolicy, DistortionConfig
+from .forensics import AugmentPolicy, parse_distortion
 from .model import ModelConfig
 from .parallel import worker_peak_mb
 from .simulate import CorpusSpec, PipelineConfig, build_corpus
@@ -69,22 +76,6 @@ class ExperimentConfig:
     digest: str
 
 
-def parse_distortion(label) -> DistortionConfig:
-    """Distortion for one grid label: none, jpegQ (Q in 1..100), down0.5 or blurS (S >= 0)."""
-    check_type(label, str, "distortion label", ConfigError)
-    if label in ("none", "down0.5"):
-        return DistortionConfig("none" if label == "none" else "downsample")
-    numbered = (("jpeg", "jpeg", "jpeg_quality"), ("blur", "gaussian_blur", "blur_sigma"))
-    for prefix, kind, key in numbered:
-        if label.startswith(prefix):
-            try:
-                section = {"kind": kind, key: json.loads(label[len(prefix):])}
-            except ValueError:
-                break
-            return build(DistortionConfig, section, f"distortion {label!r}", ConfigError)
-    raise ConfigError(f"cannot parse distortion {label!r}; labels are none, jpegQ, down0.5, blurS")
-
-
 def load_config(path: str, seed_override=None, out_override=None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,11 +96,13 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
     seed = data["seed"] if seed_override is None else seed_override
     if check_type(seed, int, "seed", ConfigError) < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    out_dir = data["out_dir"] if out_override is None else out_override
-    check_type(out_dir, str, "out_dir", ConfigError)
+    out_dir = check_type(data["out_dir"], str, "out_dir", ConfigError)
+    # the default corpus dir is where simulate wrote it: under the config's out_dir, not --out
+    corpus_dir = os.path.join(out_dir, "corpus")
+    if out_override is not None:
+        out_dir = out_override
 
     corpus = None
-    corpus_dir = os.path.join(out_dir, "corpus")
     if "corpus" in data:
         section = dict(check_type(data["corpus"], dict, "corpus", ConfigError))
         if "seed" in section:
@@ -203,8 +196,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_demo_fractal(args) -> int:
     out_dir = args.out or "formation_grid"
-    rows = formation_grid(out_dir, args.seed if args.seed is not None else 0,
-                          base_size=args.base_size, stages=args.stages)
+    rows = formation_grid(out_dir, args.seed if args.seed is not None else 0)
     write_run_meta(out_dir, args, args.seed or 0, "none")
     for row in rows:
         print(",".join(str(c) for c in row))
@@ -228,7 +220,6 @@ def cmd_features(args) -> int:
         manifest,
         args.out or "features.csv",
         levels=args.levels,
-        measure=args.measure,
         residual=args.residual,
         checkpoint=checkpoint,
     )
@@ -241,7 +232,7 @@ def _manifest_path(cfg: ExperimentConfig, split: str) -> str:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
+    cfg = load_config(args.config, out_override=args.out)
     manifest = read_manifest(_manifest_path(cfg, "train"))
     checkpoint, history = train(manifest, cfg.model, cfg.train)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -261,7 +252,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
+    cfg = load_config(args.config, out_override=args.out)
     manifest = read_manifest(_manifest_path(cfg, "test"))
     ckpt_path = args.checkpoint or os.path.join(cfg.out_dir, "checkpoint.ckpt")
     checkpoint = load_checkpoint(ckpt_path)
@@ -275,7 +266,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
+    cfg = load_config(args.config, out_override=args.out)
     train_manifest = read_manifest(_manifest_path(cfg, "train"))
     test_manifest = read_manifest(_manifest_path(cfg, "test"))
     results, checkpoints = ablate(
@@ -304,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, seed=True):
+    def common(p, config=True, seed=False):
         if config:
             p.add_argument("--config", required=True, help="experiment config (JSON)")
         if seed:
@@ -312,26 +303,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the output directory")
 
     p = sub.add_parser("simulate", help="build the synthetic corpus")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("demo-fractal", help="emit the spectrum replication grid")
-    common(p, config=False)
-    p.add_argument("--base-size", type=int, default=28)
-    p.add_argument("--stages", type=int, default=3)
+    common(p, config=False, seed=True)
     p.set_defaults(func=cmd_demo_fractal)
 
     p = sub.add_parser("spectrum", help="average-spectrum figures for a manifest")
-    common(p, config=False, seed=False)
+    common(p, config=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--residual", action="store_true", help="average residual spectra")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("features", help="export self-similarity features as CSV")
-    common(p, config=False, seed=False)
+    common(p, config=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--measure", choices=("mean", "logmean"), default="logmean")
     p.add_argument("--residual", action="store_true")
     p.add_argument("--checkpoint", default=None, help="also export learned level vectors")
     p.set_defaults(func=cmd_features)

@@ -106,7 +106,6 @@ def features_export(
     manifest: Manifest,
     out_path,
     levels: int = 2,
-    measure: str = "logmean",
     residual: bool = False,
     checkpoint: ModelCheckpoint | None = None,
 ) -> int:
@@ -137,7 +136,7 @@ def features_export(
             raise DataError(f"{manifest.resolve(entry)} is {h}x{w}; "
                             f"{levels} levels need sides divisible by {divisor}")
         target = noise_residual(image) if residual else image
-        stats = self_similarity_features(spectrum_of(target), levels, measure)
+        stats = self_similarity_features(spectrum_of(target), levels)
         cells = [entry.path, entry.label, entry.pipeline]
         cells += [f"{s:.8g}" for s in stats]
         if model is not None:

@@ -9,11 +9,12 @@ too small).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError, build, check_type
 from .ops import median_filter
 
 # Standard 8x8 luminance quantization table (quality 50 reference).
@@ -142,7 +143,7 @@ def downsample(image: np.ndarray) -> np.ndarray:
 # Crop / pad
 # ---------------------------------------------------------------------------
 
-def center_crop_pad(image: np.ndarray, size: int = 224) -> np.ndarray:
+def center_crop_pad(image: np.ndarray, size: int) -> np.ndarray:
     """Center crop to size x size; reflect-pad first when too small."""
     image = _graymap(image)
     h, w = image.shape
@@ -199,6 +200,22 @@ class DistortionConfig:
         return np.asarray(image, dtype=np.float64)
 
 
+def parse_distortion(label) -> DistortionConfig:
+    """The inverse of ``DistortionConfig.label``: none, jpegQ (Q in 1..100), down0.5 or blurS (S >= 0)."""
+    check_type(label, str, "distortion label", ConfigError)
+    if label in ("none", "down0.5"):
+        return DistortionConfig("none" if label == "none" else "downsample")
+    numbered = (("jpeg", "jpeg", "jpeg_quality"), ("blur", "gaussian_blur", "blur_sigma"))
+    for prefix, kind, key in numbered:
+        if label.startswith(prefix):
+            try:
+                section = {"kind": kind, key: json.loads(label[len(prefix):])}
+            except ValueError:
+                break
+            return build(DistortionConfig, section, f"distortion {label!r}", ConfigError)
+    raise ConfigError(f"cannot parse distortion {label!r}; labels are none, jpegQ, down0.5, blurS")
+
+
 @dataclass
 class AugmentPolicy:
     """Training-time augmentation gates, each fired independently."""
@@ -208,7 +225,7 @@ class AugmentPolicy:
     p_down: float = 0.1
     jpeg_quality_range: tuple = (70, 100)  # uniform integers, inclusive
     blur_sigma_range: tuple = (0.0, 1.0)
-    crop: int = 224
+    crop: int = 64
 
     def __post_init__(self):
         for p in (self.p_jpeg, self.p_blur, self.p_down):

@@ -15,8 +15,6 @@ from .errors import DataError, DimensionError, ParameterError
 from .fft import dft2
 from .ops import elementwise_mul
 
-MEASURES = ("mean", "logmean")
-
 
 def spectrum_of(image: np.ndarray) -> np.ndarray:
     """Per-channel magnitude spectrum of an (..., H, W) image, unshifted."""
@@ -53,28 +51,22 @@ def quadrant_average(s00, s01, s10, s11) -> np.ndarray:
     return ((blocks[0] + blocks[1]) + (blocks[2] + blocks[3])) / 4.0
 
 
-def self_similarity(spectrum: np.ndarray, measure: str = "logmean") -> float:
+def self_similarity(spectrum: np.ndarray) -> float:
     """Scalar agreement of the four spectrum quadrants.
 
     Each quadrant is first scaled to unit mean (an all-zero quadrant stays
     zero), so the statistic measures structural agreement rather than raw
     spectral energy and is invariant to image brightness and size.  The
-    scaled quadrants are fused by elementwise multiplication; ``measure``
-    reduces the fused map: ``mean`` is the plain average, ``logmean``
-    (default) averages log(1 + product), which tames the heavy tail of
+    scaled quadrants are fused by elementwise multiplication, and the
+    statistic is the mean of log(1 + product), which tames the heavy tail of
     magnitude products.
     """
-    if measure not in MEASURES:
-        raise ParameterError(f"unknown measure {measure!r}; pick from {MEASURES}")
     scaled = []
     for block in quadrant_split(spectrum):
         block = np.asarray(block, dtype=np.float64)
         m = block.mean()
         scaled.append(block / m if m > 0 else block)
-    fused = elementwise_mul(*scaled)
-    if measure == "mean":
-        return float(np.mean(fused))
-    return float(np.mean(np.log1p(fused)))
+    return float(np.mean(np.log1p(elementwise_mul(*scaled))))
 
 
 def fractal_pyramid(spectrum: np.ndarray, n_levels: int) -> list:
@@ -102,15 +94,13 @@ def fractal_pyramid(spectrum: np.ndarray, n_levels: int) -> list:
     return levels
 
 
-def self_similarity_features(
-    spectrum: np.ndarray, n_levels: int, measure: str = "logmean"
-) -> np.ndarray:
+def self_similarity_features(spectrum: np.ndarray, n_levels: int) -> np.ndarray:
     """Per-level self-similarity statistics S(0)..S(n_levels) of the pyramid.
 
     Every level, including the coarsest, is quadrant-split once more for its
     statistic, so the extents must be divisible by 2**(n_levels + 1).
     """
-    return np.array([self_similarity(lv, measure) for lv in fractal_pyramid(spectrum, n_levels)])
+    return np.array([self_similarity(lv) for lv in fractal_pyramid(spectrum, n_levels)])
 
 
 def average_spectrum(images) -> np.ndarray:

@@ -11,6 +11,8 @@ import pytest
 import fsf
 from fsf.cli import load_config, main, parse_distortion
 from fsf.errors import ConfigError
+from fsf.figures import formation_grid
+from fsf.forensics import DistortionConfig
 
 
 def experiment_config(tmp_path, **overrides):
@@ -89,10 +91,11 @@ class TestConfigParsing:
         assert cfg.corpus.seed == 999
 
     def test_distortion_labels(self):
-        assert parse_distortion("jpeg95").label == "jpeg95"
-        assert parse_distortion("down0.5").label == "down0.5"
-        assert parse_distortion("blur1").label == "blur1"
-        assert parse_distortion("none").label == "none"
+        for d in (DistortionConfig("none"), DistortionConfig("jpeg", jpeg_quality=1),
+                  DistortionConfig("jpeg", jpeg_quality=100), DistortionConfig("downsample"),
+                  DistortionConfig("gaussian_blur", blur_sigma=0.0),
+                  DistortionConfig("gaussian_blur", blur_sigma=1.5)):
+            assert parse_distortion(d.label) == d
         with pytest.raises(ConfigError):
             parse_distortion("rotate90")
 
@@ -226,10 +229,9 @@ class TestSimulateCommand:
 class TestDemoFractal:
     def test_emits_grid_with_replication(self, tmp_path, capsys):
         out = tmp_path / "grid"
-        assert main(["demo-fractal", "--out", str(out), "--seed", "3",
-                     "--base-size", "16", "--stages", "2"]) == 0
+        assert main(["demo-fractal", "--out", str(out), "--seed", "3"]) == 0
         files = sorted(p.name for p in out.glob("*.pgm"))
-        assert len(files) == 9  # 3 kinds x (origin + 2 stages)
+        assert len(files) == 12  # 3 kinds x (origin + 3 stages)
         rows = capsys.readouterr().out.strip().splitlines()
         zero_rows = [r.split(",") for r in rows if r.startswith("zero_insert") and not r.endswith(",")]
         for row in zero_rows:
@@ -238,8 +240,7 @@ class TestDemoFractal:
 
     def test_origin_column_identical_across_rows(self, tmp_path):
         out = tmp_path / "grid"
-        main(["demo-fractal", "--out", str(out), "--seed", "3",
-              "--base-size", "16", "--stages", "1"])
+        main(["demo-fractal", "--out", str(out), "--seed", "3"])
         origins = [
             (out / f"{kind}_stage0.pgm").read_bytes()
             for kind in ("zero_insert", "nearest", "tconv_conv")
@@ -248,17 +249,17 @@ class TestDemoFractal:
 
     def test_deterministic_per_seed(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        main(["demo-fractal", "--out", str(a), "--seed", "5", "--base-size", "16", "--stages", "1"])
-        main(["demo-fractal", "--out", str(b), "--seed", "5", "--base-size", "16", "--stages", "1"])
+        main(["demo-fractal", "--out", str(a), "--seed", "5"])
+        main(["demo-fractal", "--out", str(b), "--seed", "5"])
         assert tree_hash(a) == tree_hash(b)
 
     def test_base_size_below_glyph_height(self, tmp_path):
         # the glyph's crossbar row lies below a 3 px spectrum
         out = tmp_path / "grid"
-        assert main(["demo-fractal", "--out", str(out), "--base-size", "3", "--stages", "1"]) == 0
+        assert len(formation_grid(out, 0, base_size=3, stages=1)) == 6
         assert (out / "captions.csv").exists()
 
-    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--base-size", "-1"]])
+    @pytest.mark.parametrize("flags", [["--seed", "-1"]])
     def test_bad_arguments_return_2(self, tmp_path, capsys, flags):
         assert main(["demo-fractal", "--out", str(tmp_path / "grid")] + flags) == 2
         assert "config error" in capsys.readouterr().err
@@ -308,13 +309,25 @@ class TestPipelineCommands:
 
         assert len(lines) - 1 == len(read_manifest(ws / "corpus" / "manifest_test.csv"))
 
-    @pytest.mark.parametrize("command", ["spectrum", "features"])
-    def test_model_free_commands_take_no_seed(self, workspace, tmp_path, command):
-        manifest = str(workspace[0] / "corpus" / "manifest_test.csv")
+    @pytest.mark.parametrize("command", ["spectrum", "features", "train", "eval", "ablate"])
+    def test_only_simulate_and_demo_fractal_take_a_seed(self, workspace, tmp_path, command):
+        # the other commands draw nothing from the top-level seed that --seed overrides
+        ws, path = workspace
+        source = (["--manifest", str(ws / "corpus" / "manifest_test.csv")]
+                  if command in ("spectrum", "features") else ["--config", str(path)])
         with pytest.raises(SystemExit) as exc:  # argparse's usage error
-            main([command, "--manifest", manifest, "--out", str(tmp_path / "o"), "--seed", "5"])
+            main([command, *source, "--out", str(tmp_path / "o"), "--seed", "5"])
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
+
+    def test_out_does_not_move_the_default_corpus(self, tmp_path, capsys):
+        path, cfg = experiment_config(tmp_path)
+        del cfg["corpus"]["dir"]
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert (tmp_path / "run" / "corpus" / "manifest_train.csv").exists()
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "other")]) == 0
+        assert (tmp_path / "other" / "checkpoint.ckpt").exists()
 
     def test_spectrum_command_residual_flag_changes_output(self, workspace, tmp_path):
         ws, path = workspace

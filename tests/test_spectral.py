@@ -70,13 +70,13 @@ class TestQuadrantSplit:
 
 
 class TestSelfSimilarity:
-    def test_all_ones_with_mean_measure(self):
-        assert self_similarity(np.ones((4, 4)), "mean") == pytest.approx(1.0)
+    def test_all_ones_gives_log_2(self):
+        assert self_similarity(np.ones((4, 4))) == pytest.approx(np.log(2.0))
 
-    def test_zero_quadrant_annihilates_mean_measure(self):
+    def test_zero_quadrant_gives_zero(self):
         s = np.abs(np.random.default_rng(2).standard_normal((6, 6)))
         s[:3, :3] = 0.0
-        assert self_similarity(s, "mean") == 0.0
+        assert self_similarity(s) == 0.0
 
     def test_invariant_under_branch_permutation(self):
         rng = np.random.default_rng(3)
@@ -86,10 +86,6 @@ class TestSelfSimilarity:
         permuted = np.block([[q[3], q[1]], [q[2], q[0]]])
         # swapping which quadrant sits where leaves the fused product alone
         assert self_similarity(permuted) == pytest.approx(base, rel=1e-12)
-
-    def test_unknown_measure_rejected(self):
-        with pytest.raises(ParameterError):
-            self_similarity(np.ones((4, 4)), "median")
 
     def test_separates_zero_upsampled_from_plain_fields(self):
         # Small version of the corpus-level separation check (full-size AUC

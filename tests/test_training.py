@@ -116,6 +116,16 @@ class TestTrain:
         with pytest.raises(DataError):
             train(one_class, tiny_model_cfg(), tiny_train_cfg())
 
+    def test_default_augment_crop_fits_default_model(self, tmp_path):
+        from fsf.forensics import AugmentPolicy
+
+        assert AugmentPolicy().crop == ModelConfig().input_size
+        # past the crop check, train reads its first image, and none exists
+        both = Manifest([ManifestEntry("r.pgm", "real", "real", 0),
+                         ManifestEntry("g.pgm", "generated", "zero", 1)], root=str(tmp_path))
+        with pytest.raises(FileNotFoundError):
+            train(both, ModelConfig(), TrainConfig(augment=AugmentPolicy()))
+
 
 class TestEvaluate:
     def test_random_weight_model_near_chance_on_balanced_corpus(self, tiny_corpus):
