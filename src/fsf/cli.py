@@ -10,12 +10,12 @@ Subcommands:
     eval          accuracy grid (pipelines x distortions) on the test manifest
     ablate        one model per fractal-unit count, same data and seed
 
-Every command takes --out.  Only simulate and demo-fractal take --seed: they
-are the commands that draw from the config's top-level seed (demo-fractal
-needs no config).  train and ablate draw from the train section's seed, and
-eval, spectrum and features draw nothing.  simulate --out is the corpus dir;
-on train, eval and ablate --out moves what they write, while the corpus they
-read stays at corpus.dir, or <config out_dir>/corpus without one.
+Every command takes --out.  Only simulate and demo-fractal take --seed:
+simulate's overrides the config's top-level seed, and demo-fractal (no
+config) has its own, default 0.  train and ablate draw from the train
+section's seed; eval, spectrum and features draw nothing.  simulate --out is
+the corpus dir; on train, eval and ablate --out moves what they write, while
+the corpus they read stays at corpus.dir (or <config out_dir>/corpus).
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric error.
 """
@@ -196,8 +196,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_demo_fractal(args) -> int:
     out_dir = args.out or "formation_grid"
-    rows = formation_grid(out_dir, args.seed if args.seed is not None else 0)
-    write_run_meta(out_dir, args, args.seed or 0, "none")
+    rows = formation_grid(out_dir, args.seed)
+    write_run_meta(out_dir, args, args.seed, "none")
     for row in rows:
         print(",".join(str(c) for c in row))
     return 0
@@ -295,19 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, seed=False):
+    def common(p, config=True):
         if config:
             p.add_argument("--config", required=True, help="experiment config (JSON)")
-        if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
 
     p = sub.add_parser("simulate", help="build the synthetic corpus")
-    common(p, seed=True)
+    common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("demo-fractal", help="emit the spectrum replication grid")
-    common(p, config=False, seed=True)
+    common(p, config=False)
+    p.add_argument("--seed", type=int, default=0, help="seed of the grid's images (default 0)")
     p.set_defaults(func=cmd_demo_fractal)
 
     p = sub.add_parser("spectrum", help="average-spectrum figures for a manifest")

@@ -4,8 +4,8 @@ Architecture (per image):
 
 1. high-pass block: two spatial 3x3 convolutions (instance norm + leaky
    ReLU after each), then a per-channel magnitude spectrum, normalized as
-   log(1 + m) followed by per-channel standardization, then two spectral
-   3x3 convolutions (same norm/activation pattern);
+   log(1 + m) followed by per-channel standardization (instance norm's
+   kernel), then two spectral 3x3 convolutions (same norm/activation);
 2. a stack of fractal units: the feature spectrum is split into its four
    quadrants, each passes through its own 3x3 convolution, the four branch
    maps are fused by elementwise multiplication, a final convolution plus
@@ -50,7 +50,6 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .fft import dft2, magnitude_backward
 from .ops import (
-    NORM_EPS,
     conv3x3_nhwc,
     conv3x3_nhwc_backward,
     elementwise_mul,
@@ -59,12 +58,13 @@ from .ops import (
     instance_norm_nhwc_backward,
     leaky_relu,
     leaky_relu_backward,
+    standardize,
+    standardize_backward,
 )
 from .spectral import quadrant_average, quadrant_split
 
 # Branch names follow ``quadrant_split`` order.  The numeric floors are the
-# kernels' own: ``ops.NORM_EPS`` (which the spectrum standardization shares)
-# and ``fft.MAG_EPS``.
+# kernels' own: ``ops.standardize``'s variance floor and ``fft.MAG_EPS``.
 BRANCH_NAMES = ("q00", "q01", "q10", "q11")
 LEAKY_SLOPE = 0.2  # every leaky ReLU of the detector, and the gain of the Kaiming init
 SPECTRUM_GROUP = 8  # channels per pass of the spectrum stage
@@ -237,8 +237,8 @@ class FractalCNN:
 
         Input and output are channel-last.  Each channel is independent, so
         the stage runs ``SPECTRUM_GROUP`` channels at a time: ``dft2`` of the
-        group's channel-first view, then ``|z|``, ``log1p`` and
-        ``(lg - mu) * inv`` in place in the group's slice of one ``shat``.
+        group's channel-first view, then ``|z|``, ``log1p``, centring and
+        ``ops.standardize`` in place in the group's slice of one ``shat``.
         ``shat`` has the layout ``dft2`` returns, so each plane's mean and
         variance sum in the order of an ungrouped pass.  The output is a
         channel-last view of ``shat``: the next conv pads (copies) its input
@@ -253,11 +253,8 @@ class FractalCNN:
                 shat = np.empty_like(z.real, shape=xt.shape)
             s = shat[:, group]
             np.log1p(np.abs(z, out=s), out=s)
-            mu = s.mean(axis=(2, 3), keepdims=True)
-            var = s.var(axis=(2, 3), keepdims=True)
-            inv = 1.0 / np.sqrt(var + NORM_EPS)
-            s -= mu
-            s *= inv
+            s -= s.mean(axis=(2, 3), keepdims=True)
+            inv = standardize(s, (2, 3))
             if cache is not None:
                 groups.append((z, s, inv))
             del z  # before the next group's transform
@@ -267,24 +264,17 @@ class FractalCNN:
 
     def _spectrum_normalize_backward(self, upstream, cache):
         """Input gradient of the spectrum stage, one channel group at a time.
-        ``|z|`` is recomputed, not cached, and ``dlg = inv * (ds - mean_d -
-        shat * mean_ds)`` and ``dmag = dlg / (1 + |z|)`` are built in the
-        buffer of the group's channel-first copy of ``ds``.  Each group's
-        ``z`` is dropped once its gradient is written."""
+        ``|z|`` is recomputed, not cached, and ``standardize_backward``'s
+        ``dlg`` and ``dmag = dlg / (1 + |z|)`` are built in the buffer of the
+        group's channel-first copy of ``ds``.  Each group's ``z`` is dropped
+        once its gradient is written."""
         groups = cache.pop("spectrum")
         dx = np.empty(upstream.shape, upstream.dtype)
         for c0 in range(0, upstream.shape[3], SPECTRUM_GROUP):
             z, shat, inv = groups.pop(0)
             group = slice(c0, c0 + SPECTRUM_GROUP)
             d = np.ascontiguousarray(upstream[..., group].transpose(0, 3, 1, 2))  # ds, dlg, dmag
-            mean_d = d.mean(axis=(2, 3), keepdims=True)
-            t = d * shat
-            mean_ds = t.mean(axis=(2, 3), keepdims=True)
-            np.multiply(shat, mean_ds, out=t)
-            d -= mean_d
-            d -= t
-            d *= inv
-            del t
+            standardize_backward(d, shat, inv, (2, 3))
             mag = np.abs(z)
             d /= 1.0 + mag
             dx[..., group] = magnitude_backward(z, mag, d).transpose(0, 2, 3, 1)

@@ -7,7 +7,8 @@ chunk by chunk into a reused workspace instead of building the whole
 matrix; the weight gradient copies them one kernel row at a time, for half
 the input channels where that stays bitwise, straight from the unpadded
 input.  The simulator's ``conv2d`` and ``transposed_conv2d`` take one
-H x W plane and one kernel.
+H x W plane and one kernel.  Instance norm and the detector's spectrum
+stage share one standardization kernel, ``standardize``, and its backward.
 
 All backward functions return analytic gradients; there is no autodiff graph.
 """
@@ -263,7 +264,31 @@ def leaky_relu_backward(x: np.ndarray, upstream: np.ndarray, slope: float) -> np
 # Instance normalization
 # ---------------------------------------------------------------------------
 
-NORM_EPS = 1e-5  # variance floor of instance norm and of the detector's spectrum standardization
+NORM_EPS = 1e-5  # variance floor of standardize
+
+
+def standardize(xc: np.ndarray, axes) -> np.ndarray:
+    """Scale the centred ``xc`` in place to unit variance over ``axes`` and
+    return the scale ``inv = 1 / sqrt(var + NORM_EPS)``.  ``var`` is np.var's
+    own reduction, so it is bitwise ``x.var(axes)`` for ``xc = x - x.mean(axes)``."""
+    sq = np.add.reduce(xc * xc, axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(sq / (xc.size // sq.size) + NORM_EPS)
+    xc *= inv
+    return inv
+
+
+def standardize_backward(d: np.ndarray, xhat: np.ndarray, inv: np.ndarray, axes) -> np.ndarray:
+    """Input gradient of :func:`standardize` (centring included), built in
+    place in the output gradient ``d`` and returned:
+    ``inv * (d - mean(d) - xhat * mean(d * xhat))``."""
+    mean_d = d.mean(axis=axes, keepdims=True)
+    t = d * xhat
+    mean_dx = t.mean(axis=axes, keepdims=True)
+    np.multiply(xhat, mean_dx, out=t)
+    d -= mean_d
+    d -= t
+    d *= inv
+    return d
 
 
 def instance_norm_nhwc(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -274,36 +299,18 @@ def instance_norm_nhwc(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     if x.shape[1] * x.shape[2] < 2:
         raise ParameterError(f"spatial extent {x.shape[1:3]} too small to normalize")
     xhat = x - x.mean(axis=(1, 2), keepdims=True)
-    # np.var's own reduction on the centred copy, so var is bitwise x.var(axis=(1, 2))
-    sq = np.multiply(xhat, xhat)
-    var = np.add.reduce(sq, axis=(1, 2), keepdims=True) / (x.shape[1] * x.shape[2])
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat *= inv
-    if sq.dtype == np.result_type(sq, gain, bias):  # the squares' buffer becomes y
-        y = np.multiply(xhat, gain, out=sq)
-        y += bias
-    else:
-        y = xhat * gain + bias
+    inv = standardize(xhat, (1, 2))
+    y = xhat * gain
+    y += bias
     return y, (xhat, inv, gain)
 
 
 def instance_norm_nhwc_backward(cache, upstream: np.ndarray):
     """Gradients of instance_norm_nhwc: (grad_x, grad_gain, grad_bias)."""
     xhat, inv, gain = cache
-    # one product buffer serves upstream*xhat, dxhat*xhat and xhat*mean_dx,
-    # and grad_x = inv * (dxhat - mean_d - xhat*mean_dx) is built in dxhat
-    dtype = np.result_type(upstream, xhat, inv, gain)
-    t = np.multiply(upstream, xhat, dtype=dtype)
-    grad_gain = t.sum(axis=(0, 1, 2))
+    grad_gain = (upstream * xhat).sum(axis=(0, 1, 2))
     grad_bias = upstream.sum(axis=(0, 1, 2))
-    dxhat = np.multiply(upstream, gain, dtype=dtype)
-    mean_d = dxhat.mean(axis=(1, 2), keepdims=True)
-    mean_dx = np.multiply(dxhat, xhat, out=t).mean(axis=(1, 2), keepdims=True)
-    np.multiply(xhat, mean_dx, out=t)
-    dxhat -= mean_d
-    dxhat -= t
-    dxhat *= inv
-    return dxhat, grad_gain, grad_bias
+    return standardize_backward(upstream * gain, xhat, inv, (1, 2)), grad_gain, grad_bias
 
 
 # ---------------------------------------------------------------------------

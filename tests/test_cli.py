@@ -253,6 +253,19 @@ class TestDemoFractal:
         main(["demo-fractal", "--out", str(b), "--seed", "5"])
         assert tree_hash(a) == tree_hash(b)
 
+    def test_seed_has_its_own_help_and_defaults_to_zero(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-fractal", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+        assert "config" not in help_text
+        assert "--seed SEED seed of the grid's images (default 0)" in help_text
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["demo-fractal", "--out", str(a)]) == 0
+        assert json.loads((a / "run_meta.json").read_text())["seed"] == 0
+        assert main(["demo-fractal", "--out", str(b), "--seed", "0"]) == 0
+        assert tree_hash(a) == tree_hash(b)
+
     def test_base_size_below_glyph_height(self, tmp_path):
         # the glyph's crossbar row lies below a 3 px spectrum
         out = tmp_path / "grid"

@@ -5,6 +5,7 @@ import pytest
 
 from fsf.errors import DimensionError, ParameterError
 from fsf import ops
+from fsf.fft import dft2
 from fsf.forensics import noise_residual
 from fsf.ops import (
     conv2d,
@@ -474,8 +475,65 @@ class TestInstanceNorm:
         want = inv * (dxhat - mean_d - xhat * mean_dx)
         assert gx.dtype == want.dtype and np.array_equal(gx, want)
         assert np.array_equal(gbias, up.sum(axis=(0, 1, 2)))
-        if gain_dtype == dtype:  # a mixed call sums these products in the wider type
-            assert np.array_equal(ggain, (up * xhat).sum(axis=(0, 1, 2)))
+        assert np.array_equal(ggain, (up * xhat).sum(axis=(0, 1, 2)))
+
+
+def _standardize_input(layout, dtype, rng):
+    """(x, axes): channel-last planes as instance norm gets them, or the
+    log-magnitude spectrum of a channel-first view in the layout ``dft2``
+    returns, as the spectrum stage gets it."""
+    x = (rng.standard_normal((2, 12, 10, 5)) * 3 + 1).astype(dtype)
+    if layout == "nhwc":
+        return x, (1, 2)
+    return np.log1p(np.abs(dft2(x.transpose(0, 3, 1, 2)))), (2, 3)
+
+
+class TestStandardize:
+    @pytest.mark.parametrize("layout", ["nhwc", "spectrum"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_mean_var_form(self, layout, dtype):
+        x, axes = _standardize_input(layout, dtype, np.random.default_rng(15))
+        assert x.dtype == dtype
+        xc = x - x.mean(axis=axes, keepdims=True)
+        inv = ops.standardize(xc, axes)
+        want_inv = 1.0 / np.sqrt(x.var(axis=axes, keepdims=True) + 1e-5)
+        want = (x - x.mean(axis=axes, keepdims=True)) * want_inv
+        for got, ref in ((xc, want), (inv, want_inv)):
+            assert got.dtype == ref.dtype == dtype
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("layout", ["nhwc", "spectrum"])
+    def test_backward_matches_finite_differences(self, layout):
+        rng = np.random.default_rng(16)
+        x, axes = _standardize_input(layout, np.float64, rng)
+        x = np.ascontiguousarray(x[:1, :2, :6, :4])  # 48 entries: a fast FD
+        up = rng.standard_normal(x.shape)
+
+        def loss(a):
+            ac = a - a.mean(axis=axes, keepdims=True)
+            ops.standardize(ac, axes)
+            return float(np.sum(up * ac))
+
+        xhat = x - x.mean(axis=axes, keepdims=True)
+        inv = ops.standardize(xhat, axes)
+        got = ops.standardize_backward(up.copy(), xhat, inv, axes)
+        assert rel_err(got, fd_gradient(loss, x.copy())) < 1e-6
+
+    def test_both_kernels_work_in_the_array_they_are_given(self):
+        rng = np.random.default_rng(17)
+        x, axes = _standardize_input("spectrum", np.float64, rng)
+        xc = x - x.mean(axis=axes, keepdims=True)
+        centred = xc.copy()
+        inv = ops.standardize(xc, axes)
+        assert inv.shape == (2, 5, 1, 1) and not np.shares_memory(inv, xc)
+        assert xc.tobytes() == (centred * inv).tobytes()  # written in place
+        d = rng.standard_normal(x.shape)
+        before = [a.copy() for a in (d, xc, inv)]
+        got = ops.standardize_backward(d, xc, inv, axes)
+        assert got is d
+        assert not np.array_equal(d, before[0])
+        for a, b in zip((xc, inv), before[1:]):  # the forward's outputs are read only
+            assert a.tobytes() == b.tobytes()
 
 
 class TestElementwiseMul:

@@ -1,9 +1,13 @@
-"""Wall time and peak RSS of one detector training step.
+"""Wall time and peak memory of one detector training step.
 
 Runs one forward and one backward pass of a seeded ``FractalCNN`` on a
 seeded (batch, size, size, 1) input, then prints one ``<name> <value>`` line
 each for the settings, the pass times and the process's peak resident set
-size (``ru_maxrss``, MB), before the step and after it:
+size (``ru_maxrss``, MB), before the step and after it.  A second,
+identical step then runs under ``tracemalloc``, whose peak
+(``traced_peak_mb``) counts the step's own allocations only and does not
+move with heap placement the way ``ru_maxrss`` does; the timed step runs
+untraced:
 
     PYTHONPATH=src python3 tools/step_memory.py --size 224 --batch 32
 
@@ -18,6 +22,7 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -26,6 +31,16 @@ from fsf.model import FractalCNN, ModelConfig, bce_with_logits
 
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+def step(model, x, labels) -> tuple:
+    """One training step; returns its forward and backward wall times."""
+    t0 = time.perf_counter()
+    logits, cache = model.forward(x)
+    t1 = time.perf_counter()
+    _, dlogits = bce_with_logits(logits, labels)
+    model.backward(cache, dlogits)
+    return t1 - t0, time.perf_counter() - t1
 
 
 def main(argv=None) -> int:
@@ -49,16 +64,17 @@ def main(argv=None) -> int:
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '')}")
     print(f"setup_peak_rss_mb {peak_rss_mb():.1f}")
 
-    t0 = time.perf_counter()
-    logits, cache = model.forward(x)
-    t1 = time.perf_counter()
-    _, dlogits = bce_with_logits(logits, labels)
-    model.backward(cache, dlogits)
-    t2 = time.perf_counter()
-    print(f"forward_s {t1 - t0:.3f}")
-    print(f"backward_s {t2 - t1:.3f}")
-    print(f"step_s {t2 - t0:.3f}")
+    forward_s, backward_s = step(model, x, labels)
+    print(f"forward_s {forward_s:.3f}")
+    print(f"backward_s {backward_s:.3f}")
+    print(f"step_s {forward_s + backward_s:.3f}")
     print(f"peak_rss_mb {peak_rss_mb():.1f}")
+
+    tracemalloc.start()
+    step(model, x, labels)
+    _, traced_peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    print(f"traced_peak_mb {traced_peak / 2**20:.1f}")
     return 0
 
 
