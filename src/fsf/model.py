@@ -37,7 +37,10 @@ backward pass consumes that cache from the head down, popping each layer's
 entry (and each spectrum group's) so its activations are freed as soon as
 its gradients are done; a cache serves one backward pass.  Inference
 (``predict``, ``features``) keeps no cache and runs steps 1-2 one image at a
-time.
+time, step by step: each step (a conv, a norm, an activation, the
+spectrum stage, a unit) rebinds the map it consumes, so without a cache a
+map is freed once the next step has read it and no step holds more than
+three maps.
 """
 
 from __future__ import annotations
@@ -184,23 +187,6 @@ class FractalCNN:
 
     # -- layer helpers ----------------------------------------------------
 
-    def _conv_norm_act(self, x, name, cache):
-        """conv -> instance norm -> leaky ReLU.
-
-        The activation comes last so pooled statistics of the block output
-        stay input-dependent (a pooled normalized map would be constant).
-        The conv output is freed once normalized, and with ``cache=None`` so
-        is ``xhat``, so the activation holds three maps: ``x``, ``n`` and ``y``.
-        """
-        p = self.params
-        z = conv3x3_nhwc(x, p[f"{name}_w"], None)
-        n, norm_cache = instance_norm_nhwc(z, p[f"{name}_g"], p[f"{name}_beta"])
-        del z
-        if cache is not None:
-            cache[name] = (x, norm_cache)
-        del norm_cache
-        return leaky_relu(n, LEAKY_SLOPE)
-
     def _conv_norm_act_backward(self, upstream, name, cache, grads, need_input=True):
         x, norm_cache = cache.pop(name)
         xhat, _, gain = norm_cache
@@ -219,10 +205,20 @@ class FractalCNN:
         return dx
 
     def _plain_conv(self, x, name, cache):
-        z = conv3x3_nhwc(x, self.params[f"{name}_w"], self.params[f"{name}_b"])
+        """conv ``name``, with its bias if it has one (a normed conv has none)."""
+        z = conv3x3_nhwc(x, self.params[f"{name}_w"], self.params.get(f"{name}_b"))
         if cache is not None:
             cache[name] = x
         return z
+
+    def _norm(self, z, name, cache):
+        """Instance norm of block ``name``'s conv output.  The training cache
+        pairs the block input, cached by ``_plain_conv``, with the norm's
+        cache; without a cache, ``xhat`` is freed on return."""
+        n, norm_cache = instance_norm_nhwc(z, self.params[f"{name}_g"], self.params[f"{name}_beta"])
+        if cache is not None:
+            cache[name] = (cache[name], norm_cache)
+        return n
 
     def _plain_conv_backward(self, upstream, name, cache, grads):
         dx, dw, db = conv3x3_nhwc_backward(cache.pop(name), self.params[f"{name}_w"], upstream)
@@ -241,8 +237,8 @@ class FractalCNN:
         ``ops.standardize`` in place in the group's slice of one ``shat``.
         ``shat`` has the layout ``dft2`` returns, so each plane's mean and
         variance sum in the order of an ungrouped pass.  The output is a
-        channel-last view of ``shat``: the next conv pads (copies) its input
-        anyway.
+        channel-last view of ``shat``: the next conv copies its input rows
+        band by band anyway.
         """
         xt = x.transpose(0, 3, 1, 2)  # (B,C,H,W)
         groups = []
@@ -283,22 +279,35 @@ class FractalCNN:
 
     # -- stages -----------------------------------------------------------
 
-    def _highpass(self, x, cache):
-        h = self._conv_norm_act(x, "sp1", cache)
-        h = self._conv_norm_act(h, "sp2", cache)
-        h = self._spectrum_normalize(h, cache)
-        h = self._conv_norm_act(h, "fq1", cache)
-        return self._conv_norm_act(h, "fq2", cache)
+    def _highpass(self, h, cache):
+        """sp1, sp2, the spectrum stage, fq1, fq2.  Each conv-norm-act block
+        runs as three steps that rebind ``h``: conv, instance norm, leaky
+        ReLU.  The activation comes last so pooled statistics of the block
+        output stay input-dependent (a pooled normalized map would be
+        constant).  Without a cache, a block's input is freed once it is
+        convolved and its conv output once it is normalized, so no step
+        holds more than three maps."""
+        for name in ("sp1", "sp2", "fq1", "fq2"):
+            if name == "fq1":
+                h = self._spectrum_normalize(h, cache)
+            h = self._plain_conv(h, name, cache)
+            h = self._norm(h, name, cache)
+            h = leaky_relu(h, LEAKY_SLOPE)
+        return h
 
     def _fractal_unit(self, h, n, cache):
+        """Level vector and next-level spectrum of unit n.  The four branch
+        maps are freed once fused, unless the training cache keeps them."""
         blocks = _quadrants(h)
         branches = [
             self._plain_conv(block, f"u{n}_{q}", cache)
             for block, q in zip(blocks, BRANCH_NAMES)
         ]
-        fc = self._plain_conv(elementwise_mul(*branches), f"u{n}_fuse", cache)
+        fused = elementwise_mul(*branches)
         if cache is not None:
             cache[f"u{n}"] = branches
+        del branches
+        fc = self._plain_conv(fused, f"u{n}_fuse", cache)
         return fc.mean(axis=(1, 2)), quadrant_average(*blocks)
 
     def _fractal_unit_backward(self, dh, dvector, n, cache, grads):

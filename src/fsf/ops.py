@@ -2,13 +2,16 @@
 
 The detector's operations work on channel-last batches (B, H, W, C).  In
 that layout each im2col row (the 3x3 window of one output pixel, 9*C
-values) is nine contiguous channel runs; the convolution copies those rows
-chunk by chunk into a reused workspace instead of building the whole
-matrix; the weight gradient copies them one kernel row at a time, for half
-the input channels where that stays bitwise, straight from the unpadded
-input.  The simulator's ``conv2d`` and ``transposed_conv2d`` take one
-H x W plane and one kernel.  Instance norm and the detector's spectrum
-stage share one standardization kernel, ``standardize``, and its backward.
+values) is nine contiguous channel runs.  The convolution runs chunk by
+chunk: it copies a chunk's input rows, with a halo row on either side,
+into a reused zero-bordered band instead of padding the whole input, then
+that chunk's im2col rows from the band into a reused workspace instead of
+building the whole matrix.  The weight gradient copies the im2col rows one
+kernel row at a time, for half the input channels where that stays
+bitwise, straight from the unpadded input.  The simulator's ``conv2d`` and
+``transposed_conv2d`` take one H x W plane and one kernel.  Instance norm
+and the detector's spectrum stage share one standardization kernel,
+``standardize``, and its backward.
 
 All backward functions return analytic gradients; there is no autodiff graph.
 """
@@ -35,7 +38,7 @@ _CHUNK_ELEMENTS = 1 << 20
 
 
 def _im2col_view(xp: np.ndarray) -> np.ndarray:
-    """(B, H+2, W+2, C) zero-padded input -> (B, H, W, 3, 3, C) window view."""
+    """(B, H+2, W+2, C) zero-bordered input -> (B, H, W, 3, 3, C) window view."""
     return sliding_window_view(xp, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
@@ -58,10 +61,13 @@ def _chunk_plan(b: int, h: int, w: int, k: int):
 def conv3x3_nhwc(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
     """Batched 3x3 cross-correlation, (B, H, W, C) -> (B, H, W, O).
 
-    weights: (3, 3, C, O); bias: (O,) or None.  The im2col rows are copied
-    chunk by chunk (see ``_chunk_plan``) into one reused workspace, and each
-    chunk's GEMM writes its rows of the output, so the full (B*H*W, 9*C)
-    matrix is never built.
+    weights: (3, 3, C, O); bias: (O,) or None.  The input is never padded
+    whole: for each chunk of ``_chunk_plan``, its input rows and one halo
+    row above and below (zero where they fall outside the image) are copied
+    into one reused band buffer whose border columns stay zero, the chunk's
+    im2col rows are copied from that band into one reused workspace, and
+    the chunk's GEMM writes its rows of the output.  So neither the padded
+    input nor the full (B*H*W, 9*C) matrix is ever built.
     """
     b, h, w, c = x.shape
     o = weights.shape[3]
@@ -71,15 +77,24 @@ def conv3x3_nhwc(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
         )
     k = 9 * c
     dtype = np.result_type(x, weights)
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     wmat = weights.reshape(k, o).astype(dtype, copy=False)
     out = np.empty((b * h * w, o), dtype=dtype)
     plan = _chunk_plan(b, h, w, k)
-    workspace = np.empty(max((b1 - b0) * (y1 - y0) for b0, b1, y0, y1 in plan) * w * k, dtype)
+    nb = max(b1 - b0 for b0, b1, _, _ in plan)
+    rows = max(y1 - y0 for _, _, y0, y1 in plan)
+    band = np.zeros((nb, rows + 2, w + 2, c), dtype=x.dtype)
+    workspace = np.empty(nb * rows * w * k, dtype)
     for b0, b1, y0, y1 in plan:
+        xb = band[:b1 - b0, :y1 - y0 + 2]
+        lo, hi = max(y0 - 1, 0), min(y1 + 1, h)  # the input rows the chunk reads
+        xb[:, lo - y0 + 1:hi - y0 + 1, 1:w + 1] = x[b0:b1, lo:hi]
+        if y0 == 0:
+            xb[:, 0] = 0
+        if y1 == h:
+            xb[:, -1] = 0
         m = (b1 - b0) * (y1 - y0) * w
         col = workspace[:m * k].reshape(b1 - b0, y1 - y0, w, 3, 3, c)
-        np.copyto(col, _im2col_view(xp[b0:b1, y0:y1 + 2]))
+        np.copyto(col, _im2col_view(xb))
         r0 = (b0 * h + y0) * w
         np.matmul(col.reshape(m, k), wmat, out=out[r0:r0 + m])
     if bias is not None:

@@ -121,8 +121,10 @@ class TestConv2d:
 
 
 # (input shape, output channels): one small GEMM under OpenBLAS's small-matrix
-# threshold, row bands of one image with a remainder, image groups, and a
-# whole matrix smaller than one chunk.
+# threshold, row bands of one image with a remainder, image groups, a whole
+# matrix smaller than one chunk, one-pixel-high images (one band each, both
+# halo rows outside the image) and a one-pixel-wide image cut into three
+# bands of unequal height.
 STREAM_SHAPES = [
     ((2, 32, 32, 8), 8),
     ((1, 224, 224, 32), 32),
@@ -130,6 +132,8 @@ STREAM_SHAPES = [
     ((20, 16, 16, 32), 32),
     ((32, 64, 64, 1), 32),
     ((1, 5, 7, 2), 3),
+    ((3, 1, 5000, 32), 8),
+    ((1, 11000, 1, 32), 8),
 ]
 
 
@@ -190,6 +194,25 @@ class TestConv3x3Nhwc:
         assert np.array_equal(gx, im2col_conv3x3_nhwc(up, wflip)[0])
         none, gw2, gb2 = conv3x3_nhwc_backward(x, w, up, need_input_grad=False)
         assert none is None and np.array_equal(gw2, gw) and np.array_equal(gb2, gb)
+
+    def test_forward_copies_one_row_band_not_a_padded_input(self):
+        shape = (1, 224, 224, 32)
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal(shape, dtype=np.float32)
+        w = rng.standard_normal((3, 3, 32, 32), dtype=np.float32)
+        plan = ops._chunk_plan(1, 224, 224, 9 * 32)
+        rows = max(y1 - y0 for _, _, y0, y1 in plan)
+        assert len(plan) > 2  # a first, a middle and a last band
+        workspace = rows * 224 * 9 * 32 * 4  # one chunk's im2col rows
+        band = (rows + 2) * 226 * 32 * 4  # one chunk's input rows, zero-bordered
+        tracemalloc.start()
+        try:
+            conv3x3_nhwc(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 11.7 MB measured; a padded copy of the input (6.5 MB) breaks it
+        assert peak <= x.nbytes + workspace + band + (1 << 20), peak
 
     def test_weight_gradient_builds_half_a_kernel_row_at_a_time(self):
         shape = (32, 64, 64, 32)

@@ -7,7 +7,8 @@ size (``ru_maxrss``, MB), before the step and after it.  A second,
 identical step then runs under ``tracemalloc``, whose peak
 (``traced_peak_mb``) counts the step's own allocations only and does not
 move with heap placement the way ``ru_maxrss`` does; the timed step runs
-untraced:
+untraced.  Last, ``predict_traced_peak_mb`` is the tracemalloc peak of a
+one-image ``predict`` (inference, no cache) at the same size and dtype:
 
     PYTHONPATH=src python3 tools/step_memory.py --size 224 --batch 32
 
@@ -31,6 +32,16 @@ from fsf.model import FractalCNN, ModelConfig, bce_with_logits
 
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """The tracemalloc peak of ``fn(*args)``, in MB (2**20 bytes)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def step(model, x, labels) -> tuple:
@@ -70,11 +81,8 @@ def main(argv=None) -> int:
     print(f"step_s {forward_s + backward_s:.3f}")
     print(f"peak_rss_mb {peak_rss_mb():.1f}")
 
-    tracemalloc.start()
-    step(model, x, labels)
-    _, traced_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    print(f"traced_peak_mb {traced_peak / 2**20:.1f}")
+    print(f"traced_peak_mb {traced_peak_mb(step, model, x, labels):.1f}")
+    print(f"predict_traced_peak_mb {traced_peak_mb(model.predict, x[:1]):.1f}")
     return 0
 
 
