@@ -39,8 +39,10 @@ its gradients are done; a cache serves one backward pass.  Inference
 (``predict``, ``features``) keeps no cache and runs steps 1-2 one image at a
 time, step by step: each step (a conv, a norm, an activation, the
 spectrum stage, a unit) rebinds the map it consumes, so without a cache a
-map is freed once the next step has read it and no step holds more than
-three maps.
+map is freed once the next step has read it.  The norm and the spectrum
+stage write over their input, since nothing reads it again, so no step
+holds more than two and a half maps: the first unit's input, its four
+quarter-size branch maps and two of their products.
 """
 
 from __future__ import annotations
@@ -214,10 +216,18 @@ class FractalCNN:
     def _norm(self, z, name, cache):
         """Instance norm of block ``name``'s conv output.  The training cache
         pairs the block input, cached by ``_plain_conv``, with the norm's
-        cache; without a cache, ``xhat`` is freed on return."""
-        n, norm_cache = instance_norm_nhwc(z, self.params[f"{name}_g"], self.params[f"{name}_beta"])
-        if cache is not None:
-            cache[name] = (cache[name], norm_cache)
+        cache.  Without a cache nothing reads ``z`` again, so the norm runs
+        in place in ``z`` with ``instance_norm_nhwc``'s own operations and
+        returns it."""
+        gain, beta = self.params[f"{name}_g"], self.params[f"{name}_beta"]
+        if cache is None:
+            z -= z.mean(axis=(1, 2), keepdims=True)
+            standardize(z, (1, 2))
+            z *= gain
+            z += beta
+            return z
+        n, norm_cache = instance_norm_nhwc(z, gain, beta)
+        cache[name] = (cache[name], norm_cache)
         return n
 
     def _plain_conv_backward(self, upstream, name, cache, grads):
@@ -234,28 +244,36 @@ class FractalCNN:
         Input and output are channel-last.  Each channel is independent, so
         the stage runs ``SPECTRUM_GROUP`` channels at a time: ``dft2`` of the
         group's channel-first view, then ``|z|``, ``log1p``, centring and
-        ``ops.standardize`` in place in the group's slice of one ``shat``.
-        ``shat`` has the layout ``dft2`` returns, so each plane's mean and
-        variance sum in the order of an ungrouped pass.  The output is a
-        channel-last view of ``shat``: the next conv copies its input rows
-        band by band anyway.
+        ``ops.standardize`` in place in a buffer with the layout ``dft2``
+        returns, so each plane's mean and variance sum in the order of an
+        ungrouped pass.  With a training cache that buffer is the group's
+        slice of one ``shat`` and the output is a channel-last view of
+        ``shat``.  Without a cache nothing reads ``x`` again: each group's
+        buffer is its own and is copied into ``x``'s channels, and the
+        stage returns ``x``.
         """
         xt = x.transpose(0, 3, 1, 2)  # (B,C,H,W)
         groups = []
         for c0 in range(0, xt.shape[1], SPECTRUM_GROUP):
             group = slice(c0, c0 + SPECTRUM_GROUP)
             z = dft2(xt[:, group])
-            if not c0:
-                shat = np.empty_like(z.real, shape=xt.shape)
-            s = shat[:, group]
+            if cache is None:
+                s = np.empty_like(z.real)
+            else:
+                if not c0:
+                    shat = np.empty_like(z.real, shape=xt.shape)
+                s = shat[:, group]
             np.log1p(np.abs(z, out=s), out=s)
             s -= s.mean(axis=(2, 3), keepdims=True)
             inv = standardize(s, (2, 3))
-            if cache is not None:
+            if cache is None:
+                xt[:, group] = s
+            else:
                 groups.append((z, s, inv))
-            del z  # before the next group's transform
-        if cache is not None:
-            cache["spectrum"] = groups
+            del z, s  # before the next group's transform
+        if cache is None:
+            return x
+        cache["spectrum"] = groups
         return shat.transpose(0, 2, 3, 1).astype(x.dtype, copy=False)
 
     def _spectrum_normalize_backward(self, upstream, cache):
@@ -285,8 +303,8 @@ class FractalCNN:
         ReLU.  The activation comes last so pooled statistics of the block
         output stay input-dependent (a pooled normalized map would be
         constant).  Without a cache, a block's input is freed once it is
-        convolved and its conv output once it is normalized, so no step
-        holds more than three maps."""
+        convolved, and the norm and the spectrum stage write over their
+        input, so no step here holds more than two maps."""
         for name in ("sp1", "sp2", "fq1", "fq2"):
             if name == "fq1":
                 h = self._spectrum_normalize(h, cache)

@@ -6,7 +6,9 @@ values) is nine contiguous channel runs.  The convolution runs chunk by
 chunk: it copies a chunk's input rows, with a halo row on either side,
 into a reused zero-bordered band instead of padding the whole input, then
 that chunk's im2col rows from the band into a reused workspace instead of
-building the whole matrix.  The weight gradient copies the im2col rows one
+building the whole matrix.  A chunk is as small as keeps its GEMM above
+OpenBLAS's small-matrix cutoff, so the workspace shrinks as the output
+channels grow.  The weight gradient copies the im2col rows one
 kernel row at a time, for half the input channels where that stays
 bitwise, straight from the unpadded input.  The simulator's ``conv2d`` and
 ``transposed_conv2d`` take one H x W plane and one kernel.  Instance norm
@@ -28,13 +30,15 @@ from .errors import DimensionError, ParameterError
 # 3x3 convolution (stride 1, zero padding 1)
 # ---------------------------------------------------------------------------
 
-# Fewest im2col elements one GEMM chunk holds (a forward chunk, or a weight
-# gradient's kernel-row block), and fewest M*N*K of a weight gradient's
-# half-channel GEMM.  OpenBLAS (0.3.31) sends sgemm/dgemm with
-# M*N*K <= 1e6 to a small-matrix kernel that sums in another order; above
-# that, each output row's sums do not depend on M.  So chunks of at least
-# this size give bitwise the result of one full GEMM.
+# Fewest im2col elements of a weight gradient's kernel-row block, and
+# fewest M*N*K of its half-channel GEMM and of a forward chunk's GEMM.
+# OpenBLAS (0.3.31) sends sgemm/dgemm with M*N*K <= 1e6 to a small-matrix
+# kernel that sums in another order; above that, each output row's sums do
+# not depend on M.  So chunks of at least this size give bitwise the result
+# of one full GEMM.
 _CHUNK_ELEMENTS = 1 << 20
+# Fewest im2col elements of a forward chunk, whatever its output channels.
+_CHUNK_FLOOR = 1 << 18
 
 
 def _im2col_view(xp: np.ndarray) -> np.ndarray:
@@ -42,15 +46,17 @@ def _im2col_view(xp: np.ndarray) -> np.ndarray:
     return sliding_window_view(xp, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
-def _chunk_plan(b: int, h: int, w: int, k: int):
+def _chunk_plan(b: int, h: int, w: int, k: int, o: int):
     """Balanced (b0, b1, y0, y1) chunks of images b0:b1, output rows y0:y1.
 
-    Each chunk holds at least ``_CHUNK_ELEMENTS`` im2col elements (k per
-    output pixel) unless the whole matrix is smaller, which is one chunk.
-    An image smaller than a chunk is grouped whole with others; a larger one
-    is cut into bands of output rows.
+    Each chunk holds at least max(``_CHUNK_FLOOR``, ceil(``_CHUNK_ELEMENTS``
+    / o)) im2col elements (k per output pixel), so its GEMM with ``o``
+    output channels has M*N*K >= ``_CHUNK_ELEMENTS``, unless the whole
+    matrix is smaller, which is one chunk.  An image smaller than a chunk
+    is grouped whole with others; a larger one is cut into bands of output
+    rows.
     """
-    rows = -(-_CHUNK_ELEMENTS // k)
+    rows = -(-max(_CHUNK_FLOOR, -(-_CHUNK_ELEMENTS // max(o, 1))) // k)
     if h * w < rows:
         n = max(1, b // -(-rows // (h * w)))
         return [(b * i // n, b * (i + 1) // n, 0, h) for i in range(n)]
@@ -79,10 +85,11 @@ def conv3x3_nhwc(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
     dtype = np.result_type(x, weights)
     wmat = weights.reshape(k, o).astype(dtype, copy=False)
     out = np.empty((b * h * w, o), dtype=dtype)
-    plan = _chunk_plan(b, h, w, k)
+    plan = _chunk_plan(b, h, w, k, o)
     nb = max(b1 - b0 for b0, b1, _, _ in plan)
     rows = max(y1 - y0 for _, _, y0, y1 in plan)
     band = np.zeros((nb, rows + 2, w + 2, c), dtype=x.dtype)
+    windows = _im2col_view(band)
     workspace = np.empty(nb * rows * w * k, dtype)
     for b0, b1, y0, y1 in plan:
         xb = band[:b1 - b0, :y1 - y0 + 2]
@@ -94,7 +101,7 @@ def conv3x3_nhwc(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
             xb[:, -1] = 0
         m = (b1 - b0) * (y1 - y0) * w
         col = workspace[:m * k].reshape(b1 - b0, y1 - y0, w, 3, 3, c)
-        np.copyto(col, _im2col_view(xb))
+        np.copyto(col, windows[:b1 - b0, :y1 - y0])
         r0 = (b0 * h + y0) * w
         np.matmul(col.reshape(m, k), wmat, out=out[r0:r0 + m])
     if bias is not None:

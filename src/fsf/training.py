@@ -222,6 +222,8 @@ def evaluate(
     applied before crop/pad and residual extraction.  Images are read and
     prepared one ``batch_size`` slice at a time, so memory is O(batch).
     """
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     if len(manifest) == 0:
         raise DataError("evaluation manifest is empty")
     distortion = distortion or DistortionConfig("none")

@@ -173,7 +173,7 @@ class TestOneImageInference:
         assert peaks[1] < 1.5 * peaks[0], peaks
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_224px_predict_holds_three_maps_and_a_conv_workspace(self, dtype):
+    def test_224px_predict_holds_two_and_a_half_maps(self, dtype):
         model = FractalCNN(ModelConfig(channels=32, n_units=2, input_size=224, dtype=dtype))
         x = np.random.default_rng(45).standard_normal((1, 224, 224, 1))
         tracemalloc.start()
@@ -184,13 +184,42 @@ class TestOneImageInference:
             tracemalloc.stop()
         itemsize = np.dtype(dtype).itemsize
         feature_map = 224 * 224 * 32 * itemsize  # one (1, H, W, C) map
-        chunk_rows = max(y1 - y0 for _, _, y0, y1 in ops._chunk_plan(1, 224, 224, 9 * 32))
+        chunk_rows = max(y1 - y0 for _, _, y0, y1 in ops._chunk_plan(1, 224, 224, 9 * 32, 32))
         workspace = chunk_rows * 224 * 9 * 32 * itemsize  # conv3x3_nhwc's im2col chunk
-        # 19.5 / 38.6 MB measured: the norm step and the spectrum stage each
-        # hold three maps.  25.9 / 51.5 MB when the conv padded its whole
-        # input and each block's input lived through its norm; 45.0 / 90.0 MB
-        # with every channel's spectrum at once as well.
-        assert peak <= 3 * feature_map + workspace, peak
+        band = (chunk_rows + 2) * 226 * 32 * itemsize  # its zero-bordered input rows
+        # 16.1 / 32.1 MB measured: the first unit's input, its four
+        # quarter-size branches and two of their products.  19.5 / 38.6 MB
+        # when the norm step and the spectrum stage each held three maps;
+        # 25.9 / 51.5 MB when the conv padded its whole input as well.
+        assert peak <= 2.5 * feature_map + workspace + band, peak
+
+
+class TestInPlaceInference:
+    """Without a cache the norm step and the spectrum stage write over their
+    input, bitwise as the training path computes into new buffers."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_inference_norm_writes_over_its_input_bitwise(self, dtype):
+        model = jittered_model(ModelConfig(channels=12, n_units=1, input_size=16, dtype=dtype))
+        z = np.random.default_rng(46).standard_normal((2, 16, 16, 12)).astype(dtype)
+        work = z.copy()
+        expected, _ = ops.instance_norm_nhwc(z, model.params["sp2_g"], model.params["sp2_beta"])
+        assert z.tobytes() == work.tobytes()  # the training path leaves its input alone
+        out = model._norm(work, "sp2", None)
+        assert out is work
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_inference_spectrum_stage_writes_over_its_input_bitwise(self, dtype):
+        # 12 channels: one full group of SPECTRUM_GROUP = 8 and a short one
+        model = FractalCNN(ModelConfig(channels=12, n_units=1, input_size=28, dtype=dtype))
+        x = np.random.default_rng(47).standard_normal((2, 28, 28, 12)).astype(dtype)
+        expected = model._spectrum_normalize(x, {})
+        work = x.copy()
+        out = model._spectrum_normalize(work, None)
+        assert np.shares_memory(out, work)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
 
 
 def _cached_arrays(value):

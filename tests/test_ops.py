@@ -123,8 +123,9 @@ class TestConv2d:
 # (input shape, output channels): one small GEMM under OpenBLAS's small-matrix
 # threshold, row bands of one image with a remainder, image groups, a whole
 # matrix smaller than one chunk, one-pixel-high images (one band each, both
-# halo rows outside the image) and a one-pixel-wide image cut into three
-# bands of unequal height.
+# halo rows outside the image), a one-pixel-wide image cut into three bands
+# of unequal height, and bands whose few output channels make each chunk
+# larger than the floor: three of them, and the simulator's one (conv2d).
 STREAM_SHAPES = [
     ((2, 32, 32, 8), 8),
     ((1, 224, 224, 32), 32),
@@ -134,6 +135,8 @@ STREAM_SHAPES = [
     ((1, 5, 7, 2), 3),
     ((3, 1, 5000, 32), 8),
     ((1, 11000, 1, 32), 8),
+    ((2, 224, 224, 8), 3),
+    ((1, 512, 512, 1), 1),
 ]
 
 
@@ -200,7 +203,7 @@ class TestConv3x3Nhwc:
         rng = np.random.default_rng(23)
         x = rng.standard_normal(shape, dtype=np.float32)
         w = rng.standard_normal((3, 3, 32, 32), dtype=np.float32)
-        plan = ops._chunk_plan(1, 224, 224, 9 * 32)
+        plan = ops._chunk_plan(1, 224, 224, 9 * 32, 32)
         rows = max(y1 - y0 for _, _, y0, y1 in plan)
         assert len(plan) > 2  # a first, a middle and a last band
         workspace = rows * 224 * 9 * 32 * 4  # one chunk's im2col rows
@@ -211,7 +214,8 @@ class TestConv3x3Nhwc:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 11.7 MB measured; a padded copy of the input (6.5 MB) breaks it
+        # 8.2 MB measured; a padded copy of the input (6.5 MB) breaks it, and
+        # so do chunks of 2^20 im2col elements (11.7 MB)
         assert peak <= x.nbytes + workspace + band + (1 << 20), peak
 
     def test_weight_gradient_builds_half_a_kernel_row_at_a_time(self):
@@ -232,16 +236,22 @@ class TestConv3x3Nhwc:
         # gradients themselves
         assert peak <= full // 6 + (1 << 20), peak
 
+    # o = c output channels, as the detector's convs have; the last two
+    # plans' few output channels make each chunk larger than the floor
     @pytest.mark.parametrize("b,h,w,c", [(2, 32, 32, 8), (1, 224, 224, 32), (20, 16, 16, 32),
-                                         (7, 50, 3, 1), (1, 5, 7, 2), (0, 4, 4, 3)])
+                                         (7, 50, 3, 1), (1, 5, 7, 2), (0, 4, 4, 3),
+                                         (2, 224, 224, 3), (1, 512, 512, 1)])
     def test_chunk_plan_covers_every_row_once_in_large_chunks(self, b, h, w, c):
-        plan = ops._chunk_plan(b, h, w, 9 * c)
+        o = c
+        plan = ops._chunk_plan(b, h, w, 9 * c, o)
         covered = np.zeros((b, h), dtype=int)
         for b0, b1, y0, y1 in plan:
             assert b1 - b0 == 1 or (y0, y1) == (0, h)
             covered[b0:b1, y0:y1] += 1
-            if len(plan) > 1:
-                assert (b1 - b0) * (y1 - y0) * w * 9 * c >= ops._CHUNK_ELEMENTS
+            if len(plan) > 1:  # each GEMM's M*K*N stays above the small-matrix cutoff
+                m = (b1 - b0) * (y1 - y0) * w
+                assert m * 9 * c >= ops._CHUNK_FLOOR
+                assert m * 9 * c * o >= ops._CHUNK_ELEMENTS
         assert np.all(covered == 1)
         for extent in ([b1 - b0 for b0, b1, _, _ in plan], [y1 - y0 for _, _, y0, y1 in plan]):
             assert max(extent) - min(extent) <= 1  # balanced, no short tail

@@ -200,6 +200,15 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(ckpt, Manifest([], root="."))
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, tiny_corpus, batch_size):
+        from fsf.checkpoint import ModelCheckpoint
+
+        cfg = tiny_model_cfg()
+        ckpt = ModelCheckpoint(cfg, FractalCNN(cfg).copy_params(), {})
+        with pytest.raises(ParameterError, match="batch_size"):
+            evaluate(ckpt, tiny_corpus["test"], batch_size=batch_size)
+
 
 class TestResidualWindow:
     def test_checkpoint_window_sets_evaluate_and_features_inputs(self, tiny_corpus, tmp_path, monkeypatch):
